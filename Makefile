@@ -1,34 +1,31 @@
 # Convenience targets; everything is plain dune underneath.
 # `make help` lists them.
 
-.PHONY: all build check ci test test-props bench examples smoke chaos \
-  trace-check health-check tail-check dir-check reconfig-check \
-  profile-check determinism clean help
+.PHONY: all build check ci test test-props bench examples smoke gates \
+  bench-check determinism clean help
 
 all: build
 
 help:
 	@echo "make build        - dune build @all"
-	@echo "make test         - run every alcotest suite"
+	@echo "make test         - run every alcotest suite (same-seed bundle gates included)"
 	@echo "make test-props   - seeded property tests only (codecs, plans, laws)"
-	@echo "make check        - build + tests + metrics smoke + chaos determinism"
-	@echo "make ci           - the full gate: build, tests, chaos cmp, props x3 seeds"
+	@echo "make check        - build + tests + metrics smoke"
+	@echo "make ci           - the full gate: check, gates, bench-check"
+	@echo "make gates        - E22-E25 smokes, reconfig cmp, props x3 seed offsets"
+	@echo "make bench-check  - each benchmark workload must finish correct"
 	@echo "make bench        - run the full experiment suite (E1..E25, M)"
 	@echo "make examples     - run the example programs"
 	@echo "make smoke        - exercise the edenctl CLI end to end"
-	@echo "make chaos        - fault-injection suite + same-seed snapshot cmp"
-	@echo "make trace-check  - chaos trace invariants (all eight) + same-seed timeline cmp"
-	@echo "make health-check - same-seed health reports must be byte-identical"
-	@echo "make tail-check   - speculation smoke: E22 tails + clone trace invariant"
-	@echo "make dir-check    - directory smoke: E23 scaling + dir trace invariant"
-	@echo "make reconfig-check - membership smoke: E24 join/drain/leave + reconfig chaos cmp"
-	@echo "make profile-check - profiler smoke: E25 attribution + same-seed profile cmp"
 	@echo "make determinism  - experiment output must be bit-reproducible"
 	@echo "make clean        - dune clean"
 
 build:
 	dune build @all
 
+# Includes the same-seed gates: test/test_fault.ml runs `edenctl run`'s
+# bundle twice per flag set and requires byte-identical files, zero
+# invariant violations and zero journal drops.
 test:
 	dune runtest --force
 
@@ -44,32 +41,49 @@ test-props:
 check:
 	dune build @all
 	dune runtest --force
-	$(MAKE) test-props
 	dune exec bin/edenctl.exe -- synth --nodes 3 --requests 50 \
 	  --metrics-out /tmp/eden_metrics_smoke.json
 	dune exec bin/edenctl.exe -- metrics-check /tmp/eden_metrics_smoke.json
-	$(MAKE) chaos
 	@echo "check: OK"
 
-# The full local gate, mirroring what a hosted pipeline would run:
-# build, every unit suite, the chaos determinism comparison, and the
-# property suites under three distinct seed universes (the offset
-# shifts every property's base stream; see test/prop.ml).
-ci:
-	dune build @all
-	dune runtest --force
-	$(MAKE) chaos
-	$(MAKE) trace-check
-	$(MAKE) health-check
-	$(MAKE) tail-check
-	$(MAKE) dir-check
-	$(MAKE) reconfig-check
-	$(MAKE) profile-check
-	for off in 0 271828 3141592; do \
-	  echo "props @ seed offset $$off"; \
-	  EDEN_PROP_SEED_OFFSET=$$off dune exec test/test_props.exe || exit 1; \
-	done
+ci: check gates bench-check
 	@echo "ci: OK"
+
+# The gates that cannot live in `dune runtest`, one command per line:
+# the experiment smokes (each asserts its headline inside the
+# experiment), the reconfig subcommand twice with one seed (snapshots
+# must be byte-identical), and the property suites under three
+# distinct seed universes (the offset shifts every property's base
+# stream; see test/prop.ml).
+GATES = \
+  "dune exec bench/main.exe -- E22 --smoke" \
+  "dune exec bench/main.exe -- E23 --smoke" \
+  "dune exec bench/main.exe -- E24 --smoke" \
+  "dune exec bench/main.exe -- E25 --smoke" \
+  "dune exec bin/edenctl.exe -- reconfig --nodes 4 --spares 1 --seed 11 --metrics-out /tmp/eden_reconfig_a.json" \
+  "dune exec bin/edenctl.exe -- reconfig --nodes 4 --spares 1 --seed 11 --metrics-out /tmp/eden_reconfig_b.json" \
+  "cmp /tmp/eden_reconfig_a.json /tmp/eden_reconfig_b.json" \
+  "env EDEN_PROP_SEED_OFFSET=0 dune exec test/test_props.exe" \
+  "env EDEN_PROP_SEED_OFFSET=271828 dune exec test/test_props.exe" \
+  "env EDEN_PROP_SEED_OFFSET=3141592 dune exec test/test_props.exe"
+
+gates:
+	@for g in $(GATES); do echo "+ $$g"; sh -c "$$g" || exit 1; done
+	@echo "gates: OK"
+
+# Each benchmark workload, one virtual second at seed 7 with tracing:
+# the final line must report "correct":true (same-seed repetitions
+# agree, Check.run finds no violation, the census is exact).
+BENCH_WORKLOADS = invoke-hot locate-churn ckpt-write
+
+bench-check:
+	@for w in $(BENCH_WORKLOADS); do \
+	  echo "+ bench $$w"; \
+	  bash edenbench/run.sh --workload $$w --seed 7 --seconds 1 --trace 1 \
+	    | tail -n 1 | grep -q '"correct":true' \
+	    || { echo "bench-check: $$w is not correct"; exit 1; }; \
+	done
+	@echo "bench-check: OK"
 
 bench:
 	dune exec bench/main.exe
@@ -88,137 +102,9 @@ smoke:
 	dune exec bin/edenctl.exe -- demo --nodes 4
 	dune exec bin/edenctl.exe -- heartbeat --nodes 3 --kill 1
 	dune exec bin/edenctl.exe -- efs --txns 6 --optimistic
+	dune exec bin/edenctl.exe -- run --nodes 5 --seed 11 --out /tmp/eden_run
 	printf 'mk doc d\nappend d hello\nshow d\nquit\n' | \
 	  dune exec bin/edenctl.exe -- edit --nodes 2
-
-# Fault injection: the chaos suite, then same-seed chaos runs twice —
-# the exported metrics snapshots must be byte-identical, both with the
-# hot-path features off and with the replica cache + coalescer on.
-chaos:
-	dune exec test/test_fault.exe
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 \
-	  --metrics-out /tmp/eden_chaos_a.json
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 \
-	  --metrics-out /tmp/eden_chaos_b.json
-	cmp /tmp/eden_chaos_a.json /tmp/eden_chaos_b.json
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 \
-	  --replica-cache --coalesce --metrics-out /tmp/eden_chaos_hot_a.json
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 \
-	  --replica-cache --coalesce --metrics-out /tmp/eden_chaos_hot_b.json
-	cmp /tmp/eden_chaos_hot_a.json /tmp/eden_chaos_hot_b.json
-	@echo "chaos: OK (deterministic)"
-
-# Causal tracing: run the chaos workload with the trace checker armed
-# (non-zero exit on any cross-node invariant violation), twice with
-# the same seed — the assembled timelines (Chrome JSON and text) must
-# be byte-identical.
-trace-check:
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --check \
-	  --out /tmp/eden_trace_a.json --text /tmp/eden_trace_a.txt
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --check \
-	  --out /tmp/eden_trace_b.json --text /tmp/eden_trace_b.txt
-	cmp /tmp/eden_trace_a.json /tmp/eden_trace_b.json
-	cmp /tmp/eden_trace_a.txt /tmp/eden_trace_b.txt
-	@echo "trace-check: OK (invariants hold, timelines deterministic)"
-
-# The health plane: run the chaos workload with SLO watchdogs and the
-# hot-object sketch armed, twice with the same seed — the full report
-# (dashboard, alert transitions, top-k rollup) must be byte-identical.
-health-check:
-	dune exec bin/edenctl.exe -- health --nodes 5 --seed 11 \
-	  --out /tmp/eden_health_a.txt
-	dune exec bin/edenctl.exe -- health --nodes 5 --seed 11 \
-	  --out /tmp/eden_health_b.txt
-	cmp /tmp/eden_health_a.txt /tmp/eden_health_b.txt
-	@echo "health-check: OK (alerts and hot objects deterministic)"
-
-# Speculation: the E22 smoke (cloning + hedging must cut p999 under
-# slow-node chaos without taxing p50 — asserted inside the
-# experiment), then the chaos workload with speculation on: the
-# clone-resolution trace invariant must hold and same-seed timelines
-# stay byte-identical.
-tail-check:
-	dune exec bench/main.exe -- E22 --smoke
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --clone --hedge \
-	  --check --text /tmp/eden_tail_a.txt
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --clone --hedge \
-	  --check --text /tmp/eden_tail_b.txt
-	cmp /tmp/eden_tail_a.txt /tmp/eden_tail_b.txt
-	@echo "tail-check: OK (tails cut, clone invariant holds, deterministic)"
-
-# The sharded locate directory: the E23 smoke (O(1) hit-path cost and
-# the >= 10x message win over broadcast at 32 nodes — asserted inside
-# the experiment), then the chaos workload with the directory on: the
-# dir-resolves-or-falls-back trace invariant must hold, and same-seed
-# runs must produce byte-identical snapshots and timelines.
-dir-check:
-	dune exec bench/main.exe -- E23 --smoke
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 --directory \
-	  --metrics-out /tmp/eden_dir_a.json
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 --directory \
-	  --metrics-out /tmp/eden_dir_b.json
-	cmp /tmp/eden_dir_a.json /tmp/eden_dir_b.json
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --directory \
-	  --check --text /tmp/eden_dir_a.txt
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --directory \
-	  --check --text /tmp/eden_dir_b.txt
-	cmp /tmp/eden_dir_a.txt /tmp/eden_dir_b.txt
-	@echo "dir-check: OK (O(1) locate, dir invariant holds, deterministic)"
-
-# Online reconfiguration: the E24 smoke (join + drain + leave under
-# load within 1.5x of the static locate cost, all seven trace
-# invariants clean — asserted inside the experiment), then the same
-# reconfig run twice — byte-identical snapshots — and the chaos
-# workload under a plan that mixes crash/link faults with a join and a
-# decommission: trace invariants (epoch monotonicity included) must
-# hold and same-seed snapshots and timelines stay byte-identical.
-reconfig-check:
-	dune exec bench/main.exe -- E24 --smoke
-	dune exec bin/edenctl.exe -- reconfig --nodes 4 --spares 1 --seed 11 \
-	  --metrics-out /tmp/eden_reconfig_a.json
-	dune exec bin/edenctl.exe -- reconfig --nodes 4 --spares 1 --seed 11 \
-	  --metrics-out /tmp/eden_reconfig_b.json
-	cmp /tmp/eden_reconfig_a.json /tmp/eden_reconfig_b.json
-	printf 'at 100ms  crash 3\nat 400ms  restart 3 rebuild\nat 200ms  drop 0->2 p=0.3\nat 700ms  heal-link 0->2\nat 500ms  join 5\nat 1200ms decommission 2\n' \
-	  > /tmp/eden_reconfig.plan
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --spares 1 --seed 11 \
-	  --directory --fault-plan /tmp/eden_reconfig.plan \
-	  --metrics-out /tmp/eden_reconfig_chaos_a.json
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --spares 1 --seed 11 \
-	  --directory --fault-plan /tmp/eden_reconfig.plan \
-	  --metrics-out /tmp/eden_reconfig_chaos_b.json
-	cmp /tmp/eden_reconfig_chaos_a.json /tmp/eden_reconfig_chaos_b.json
-	dune exec bin/edenctl.exe -- trace --nodes 5 --spares 1 --seed 11 \
-	  --directory --fault-plan /tmp/eden_reconfig.plan \
-	  --check --text /tmp/eden_reconfig_a.txt
-	dune exec bin/edenctl.exe -- trace --nodes 5 --spares 1 --seed 11 \
-	  --directory --fault-plan /tmp/eden_reconfig.plan \
-	  --check --text /tmp/eden_reconfig_b.txt
-	cmp /tmp/eden_reconfig_a.txt /tmp/eden_reconfig_b.txt
-	@echo "reconfig-check: OK (join/drain/leave live, invariants hold, deterministic)"
-
-# The critical-path profiler: the E25 smoke (three injected
-# bottlenecks — slow node, saturated wire, hot directory shard — each
-# attributed to the right category, < 5% overhead — asserted inside
-# the experiment), then the profile subcommand twice with the same
-# seed — report, flame stacks and JSON must all be byte-identical —
-# and once more under a chaotic fault plan with the checker armed, so
-# the attribution-complete invariant (every request's categories sum
-# exactly to its end-to-end latency) gates the run.
-profile-check:
-	dune exec bench/main.exe -- E25 --smoke
-	dune exec bin/edenctl.exe -- profile --nodes 5 --seed 11 \
-	  --out /tmp/eden_profile_a.txt --folded /tmp/eden_profile_a.folded \
-	  --json /tmp/eden_profile_a.json
-	dune exec bin/edenctl.exe -- profile --nodes 5 --seed 11 \
-	  --out /tmp/eden_profile_b.txt --folded /tmp/eden_profile_b.folded \
-	  --json /tmp/eden_profile_b.json
-	cmp /tmp/eden_profile_a.txt /tmp/eden_profile_b.txt
-	cmp /tmp/eden_profile_a.folded /tmp/eden_profile_b.folded
-	cmp /tmp/eden_profile_a.json /tmp/eden_profile_b.json
-	dune exec bin/edenctl.exe -- profile --nodes 5 --seed 11 --directory \
-	  --clone --hedge --check > /dev/null
-	@echo "profile-check: OK (bottlenecks named, attribution exact, deterministic)"
 
 # The whole experiment suite must be bit-reproducible.
 determinism:

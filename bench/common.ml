@@ -140,13 +140,9 @@ let write_summary ~id ~title () =
             | None -> []) );
       ]
   in
-  let path = Printf.sprintf "BENCH_%s.json" id in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Eden_obs.Json.to_string ~compact:false json);
-      output_char oc '\n')
+  Eden_obs.Snapshot.write_string
+    ~path:(Printf.sprintf "BENCH_%s.json" id)
+    (Eden_obs.Json.to_string ~compact:false json ^ "\n")
 
 let fresh_cluster ?(seed = 42L) ?options ?coalesce ?journal_cap ?health ~n ()
     =

@@ -88,10 +88,8 @@ let emit_trace () =
   | None, _ | _, None -> ()
   | Some file, Some cl ->
     let tl = Cluster.timeline cl in
-    let oc = open_out_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Eden_obs.Timeline.to_chrome_string tl));
+    Eden_obs.Snapshot.write_string ~path:file
+      (Eden_obs.Timeline.to_chrome_string tl);
     note "chrome trace of the cache-on run written to %s (%d events)" file
       (Eden_obs.Timeline.length tl)
 

@@ -33,7 +33,7 @@
      per-pair ratios) on E18's locality-free invocation stream with
      [use_profiling] toggled.  Acceptance: < 5% host time.
 
-   `make profile-check` runs the smoke variant: shorter streams, the
+   `make gates` runs the smoke variant: shorter streams, the
    same three dominance assertions, overhead reported but not the
    point. *)
 

@@ -25,7 +25,7 @@
    itself is the bottleneck (cloning adds traffic; the win is smaller
    and can invert — the numbers are reported, not gated).
 
-   `make tail-check` runs the smoke variant: part A only, a shorter
+   `make gates` runs the smoke variant: part A only, a shorter
    read stream, and the same acceptance thresholds. *)
 
 open Eden_util

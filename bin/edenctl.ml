@@ -7,21 +7,13 @@
                        [--trace] [--metrics-out FILE]
      edenctl efs       [--nodes N] [--txns T] [--optimistic] [--trace] [--metrics-out FILE]
      edenctl heartbeat [--nodes N] [--kill I] [--trace] [--metrics-out FILE]
-     edenctl chaos     [--nodes N] [--seed S] [--fault-plan FILE] [--requests R]
+     edenctl run       [--nodes N] [--seed S] [--fault-plan FILE] [--requests R]
                        [--replica-cache] [--coalesce] [--ckpt-delta] [--ckpt-async]
-                       [--spares K] [--trace] [--metrics-out FILE]
+                       [--clone] [--hedge] [--directory] [--spares K] [--out DIR]
+                       (chaos workload, every observer armed, one artifact bundle)
      edenctl reconfig  [--nodes N] [--spares K] [--seed S] [--requests R]
                        [--fault-plan FILE] [--trace] [--metrics-out FILE]
                        (join + drain + leave while a counter stream runs)
-     edenctl trace     [--nodes N] [--seed S] [--fault-plan FILE] [--requests R]
-                       [--out FILE] [--text FILE] [--check]
-                       (chaos workload + assembled cross-node causal timeline)
-     edenctl health    [--nodes N] [--seed S] [--fault-plan FILE] [--requests R]
-                       [--out FILE] [--json FILE]
-                       (chaos workload + SLO dashboard, alert transitions, hot objects)
-     edenctl top       [--nodes N] [--seed S] [--fault-plan FILE] [--requests R]
-                       [--k K] [--json FILE]
-                       (chaos workload + per-node / cluster hot-object tables)
      edenctl stats     [--nodes N] [--requests R]   (metrics tables after a synth run)
      edenctl metrics-check FILE                     (validate an exported snapshot)
      edenctl edit      [--nodes N]      (interactive object editor)
@@ -44,7 +36,8 @@ let seed_t =
 let trace_t =
   Arg.(
     value & flag
-    & info [ "trace" ] ~doc:"Dump the kernel trace tail after the run.")
+    & info [ "trace" ]
+        ~doc:"Print the causal timeline (merged node journals) after the run.")
 
 let metrics_out_t =
   Arg.(
@@ -140,7 +133,7 @@ let spares_t =
            plan's 'join' action can admit them mid-run.")
 
 let cluster_options ?(clone = false) ?(hedge = false) ?(directory = false)
-    ?(profiling = false) ~replica_cache ~ckpt_delta () =
+    ~replica_cache ~ckpt_delta () =
   {
     Cluster.default_options with
     Cluster.use_replica_cache = replica_cache;
@@ -148,59 +141,46 @@ let cluster_options ?(clone = false) ?(hedge = false) ?(directory = false)
     Cluster.speculate =
       { Api.no_speculation with Api.sp_clone = clone; sp_hedge = hedge };
     Cluster.use_directory = directory;
-    Cluster.use_profiling = profiling;
   }
 
 let cluster_coalesce coalesce =
   if coalesce then Some Transport.default_coalesce else None
 
-(* Parse + validate a plan file, or derive a random plan from the seed
-   when none was given (chaos does the latter; synth runs fault-free
-   without --fault-plan). *)
-let load_plan ~file ~seed ~nodes ~segments ~horizon ~default_random =
-  let plan =
-    match file with
-    | Some f -> (
-      match Eden_fault.Plan.of_file f with
-      | Ok p -> p
-      | Error msg ->
-        Printf.eprintf "fault plan %s: %s\n" f msg;
-        exit 1)
-    | None ->
-      if default_random then
-        Eden_fault.Plan.random ~seed:(Int64.of_int seed) ~nodes ~segments
-          ~horizon
-      else Eden_fault.Plan.empty
-  in
-  (match Eden_fault.Plan.validate plan ~nodes ~segments with
-  | Ok () -> ()
+let read_plan file =
+  match Eden_fault.Plan.of_file file with
+  | Ok p -> p
+  | Error msg ->
+    Printf.eprintf "fault plan %s: %s\n" file msg;
+    exit 1
+
+(* Parse a plan file and check it against the rack. *)
+let load_plan file ~nodes ~segments =
+  let plan = read_plan file in
+  match Eden_fault.Plan.validate plan ~nodes ~segments with
+  | Ok () -> plan
   | Error msg ->
     Printf.eprintf "fault plan: %s\n" msg;
-    exit 1);
-  plan
+    exit 1
+
+(* Every file edenctl writes goes through [Snapshot.write_string],
+   which creates missing parent directories. *)
+let write_file ~path contents =
+  try Eden_obs.Snapshot.write_string ~path contents
+  with Sys_error msg ->
+    Printf.eprintf "cannot write %s: %s\n" path msg;
+    exit 1
 
 let write_metrics cl = function
   | None -> ()
-  | Some file -> (
-    let snap = Cluster.metrics_snapshot cl in
-    try
-      (* Creates missing parent directories, so --metrics-out can point
-         into a results tree that does not exist yet. *)
-      Eden_obs.Snapshot.write_file snap ~path:file;
-      Printf.printf "metrics snapshot written to %s\n" file
-    with Sys_error msg ->
-      Printf.eprintf "cannot write metrics snapshot: %s\n" msg;
-      exit 1)
+  | Some path ->
+    write_file ~path
+      (Eden_obs.Snapshot.to_string (Cluster.metrics_snapshot cl) ^ "\n");
+    Printf.printf "metrics snapshot written to %s\n" path
 
-let setup_trace cl enabled =
-  if enabled then Trace.enable (Cluster.trace cl)
-
-let dump_trace cl enabled =
+let print_timeline cl enabled =
   if enabled then begin
-    print_endline "--- trace tail ---";
-    List.iter
-      (fun r -> print_endline (Format.asprintf "%a" Trace.pp_record r))
-      (Trace.recent (Cluster.trace cl))
+    print_endline "--- causal timeline ---";
+    print_string (Eden_obs.Timeline.to_text (Cluster.timeline cl))
   end
 
 let summary cl =
@@ -231,7 +211,6 @@ let counter_type =
 let run_demo nodes seed trace metrics_out =
   let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
   Cluster.register_type cl counter_type;
-  setup_trace cl trace;
   let _ =
     Cluster.in_process cl (fun () ->
         match
@@ -249,7 +228,7 @@ let run_demo nodes seed trace metrics_out =
           done)
   in
   Cluster.run cl;
-  dump_trace cl trace;
+  print_timeline cl trace;
   write_metrics cl metrics_out;
   summary cl
 
@@ -264,7 +243,6 @@ let demo_cmd =
 let run_mail nodes seed users messages trace metrics_out =
   let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
   Eden_workload.Mail.register_types cl;
-  setup_trace cl trace;
   let setup = ref None in
   let _ =
     Cluster.in_process cl (fun () ->
@@ -286,7 +264,7 @@ let run_mail nodes seed users messages trace metrics_out =
       r.Eden_workload.Mail.sent r.Eden_workload.Mail.send_failures
       r.Eden_workload.Mail.fetched
       (Format.asprintf "%a" Stats.pp_summary r.Eden_workload.Mail.send_latency));
-  dump_trace cl trace;
+  print_timeline cl trace;
   write_metrics cl metrics_out;
   summary cl
 
@@ -319,16 +297,11 @@ let run_synth nodes seed locality requests fault_plan replica_cache coalesce
       ~options:(cluster_options ~directory ~replica_cache ~ckpt_delta ())
       ?coalesce:(cluster_coalesce coalesce) ~n_nodes:nodes ()
   in
-  setup_trace cl trace;
   let ctl =
-    match fault_plan with
-    | None -> None
-    | Some _ ->
-      let plan =
-        load_plan ~file:fault_plan ~seed ~nodes ~segments:1
-          ~horizon:(Time.s 2) ~default_random:false
-      in
-      Some (Eden_fault.Controller.arm cl plan)
+    Option.map
+      (fun file ->
+        Eden_fault.Controller.arm cl (load_plan file ~nodes ~segments:1))
+      fault_plan
   in
   let spec =
     {
@@ -358,7 +331,7 @@ let run_synth nodes seed locality requests fault_plan replica_cache coalesce
   | None -> ()
   | Some ctl ->
     Printf.printf "faults injected: %d\n" (Eden_fault.Controller.injected ctl));
-  dump_trace cl trace;
+  print_timeline cl trace;
   write_metrics cl metrics_out;
   summary cl
 
@@ -386,7 +359,6 @@ let synth_cmd =
 let run_efs nodes seed txns optimistic trace metrics_out =
   let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
   Eden_efs.Schema.register cl;
-  setup_trace cl trace;
   let mode = if optimistic then Eden_efs.Txn.Optimistic else Eden_efs.Txn.Locking in
   let committed = ref 0 and conflicts = ref 0 in
   let file = ref None in
@@ -455,7 +427,7 @@ let run_efs nodes seed txns optimistic trace metrics_out =
     (match !final with
     | Some (Ok (Value.Int n)) -> string_of_int n
     | _ -> "?");
-  dump_trace cl trace;
+  print_timeline cl trace;
   write_metrics cl metrics_out;
   summary cl
 
@@ -481,7 +453,6 @@ let efs_cmd =
 
 let run_heartbeat nodes seed kill trace metrics_out =
   let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
-  setup_trace cl trace;
   (match kill with
   | Some victim when victim >= 0 && victim < nodes ->
     Engine.schedule (Cluster.engine cl) ~after:(Time.ms 400) (fun () ->
@@ -510,7 +481,7 @@ let run_heartbeat nodes seed kill trace metrics_out =
         done)
   in
   Cluster.run cl;
-  dump_trace cl trace;
+  print_timeline cl trace;
   write_metrics cl metrics_out;
   summary cl
 
@@ -528,209 +499,77 @@ let heartbeat_cmd =
       $ metrics_out_t)
 
 (* ------------------------------------------------------------------ *)
-(* chaos: a request stream against mirrored counters while a fault
-   plan crashes nodes, fails disks, partitions segments and degrades
-   links.  Everything is driven by the virtual clock and the seed, so
-   two identical invocations produce byte-identical --metrics-out
-   files. *)
+(* run: the chaos workload (mirrored counters under a deterministic
+   fault plan, random from --seed unless --fault-plan is given) with
+   every observer armed; prints the run summary and writes the whole
+   artifact bundle (Eden_fault.Chaos.files) under --out.  Same flags,
+   same bundle, byte for byte. *)
 
-let chaos_type ~async =
-  let open Api in
-  Typemgr.make_exn ~name:"chaos_counter"
-    [
-      Typemgr.operation "config" (fun ctx args ->
-          (* [List sites]: mirror the checkpoint over the given nodes
-             and take the first one. *)
-          let* v = arg1 args in
-          let* sites =
-            Value.to_list v
-            |> Result.map_error (fun m -> Error.Bad_arguments m)
-          in
-          let sites =
-            List.filter_map (fun s -> Result.to_option (Value.to_int s)) sites
-          in
-          let* () = ctx.set_reliability (Reliability.Mirrored sites) in
-          let* () = ctx.checkpoint () in
-          reply_unit);
-      Typemgr.operation "incr" (fun ctx args ->
-          let* () = no_args args in
-          let* n = int_arg (ctx.get_repr ()) in
-          let* () = ctx.set_repr (Value.Int (n + 1)) in
-          (* Persist every update.  A partial checkpoint (some mirror
-             site down or disk-failed) still stored the copies it
-             could; the update itself succeeded, so reply Ok.  Under
-             --ckpt-async the write overlaps the request stream
-             instead of blocking the reply. *)
-          (match
-             if async then ctx.checkpoint_async () else ctx.checkpoint ()
-           with
-          | Ok () | Error _ -> ());
-          reply [ Value.Int (n + 1) ]);
-      Typemgr.operation "get" ~mutates:false (fun ctx args ->
-          let* () = no_args args in
-          reply [ ctx.get_repr () ]);
-    ]
+let run_chaos nodes seed fault_plan requests replica_cache coalesce ckpt_delta
+    ckpt_async clone hedge directory spares out =
+  let config =
+    {
+      Eden_fault.Chaos.nodes;
+      spares;
+      seed;
+      requests;
+      plan = Option.map read_plan fault_plan;
+      options =
+        cluster_options ~clone ~hedge ~directory ~replica_cache ~ckpt_delta ();
+      coalesce = cluster_coalesce coalesce;
+      ckpt_async;
+      (* A frozen, replicated object gives speculation something to
+         fan out on. *)
+      frozen_reads = clone || hedge;
+    }
+  in
+  let b =
+    try Eden_fault.Chaos.run config
+    with Invalid_argument msg ->
+      Printf.eprintf "run: %s\n" msg;
+      exit 1
+  in
+  let files = Eden_fault.Chaos.files b in
+  print_string (List.assoc "summary.txt" files);
+  (match out with
+  | None -> ()
+  | Some dir ->
+    List.iter
+      (fun (name, contents) ->
+        write_file ~path:(Filename.concat dir name) contents)
+      files;
+    Printf.printf "bundle written to %s (%d files)\n" dir (List.length files));
+  if b.Eden_fault.Chaos.violations <> [] then exit 1
 
-let chaos_horizon = Time.s 2
-
-(* The chaos workload proper, shared by [chaos] (metrics-oriented) and
-   [trace] (journal/timeline-oriented): mirrored counters under a
-   deterministic fault plan, driven entirely by the virtual clock and
-   the seed.  Returns the finished cluster for post-run inspection. *)
-let chaos_workload ?health ?(clone = false) ?(hedge = false)
-    ?(directory = false) ?(profiling = false) ?(spares = 0) ~nodes ~seed
-    ~fault_plan ~requests ~replica_cache ~coalesce ~ckpt_delta ~ckpt_async
-    ~trace () =
-  if nodes < 2 then begin
-    Printf.eprintf "chaos needs --nodes >= 2\n";
-    exit 1
-  end;
-  (* Two bridged segments once the cluster is big enough, so partition
-     events have something to cut. *)
-  let segments =
-    if nodes >= 4 then [ nodes - (nodes / 2); nodes / 2 ] else [ nodes ]
-  in
-  let configs =
-    List.init nodes (fun i ->
-        Eden_hw.Machine.default_config ~name:(Printf.sprintf "node%d" i))
-  in
-  let cl =
-    Cluster.create ~seed:(Int64.of_int seed) ~segments ~spares
-      ~options:
-        (cluster_options ~clone ~hedge ~directory ~profiling ~replica_cache
-           ~ckpt_delta ())
-      ?coalesce:(cluster_coalesce coalesce) ?health ~configs ()
-  in
-  Cluster.register_type cl (chaos_type ~async:ckpt_async);
-  setup_trace cl trace;
-  (* Spares are valid fault-plan targets (join admits them), so the
-     plan validates against the full rack, not just the members. *)
-  let plan =
-    load_plan ~file:fault_plan ~seed ~nodes:(nodes + spares)
-      ~segments:(List.length segments) ~horizon:chaos_horizon
-      ~default_random:true
-  in
-  print_string "--- fault plan ---\n";
-  print_string (Eden_fault.Plan.to_string plan);
-  (* Setup phase, fault-free: one counter per node, mirrored on its
-     home and successor.  The plan is armed only once the objects
-     exist (its times are relative to that instant). *)
-  let caps = ref [||] in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        caps :=
-          Array.init nodes (fun i ->
-              let cap =
-                match
-                  Cluster.create_object cl ~node:i ~type_name:"chaos_counter"
-                    (Value.Int 0)
-                with
-                | Ok c -> c
-                | Error e -> failwith ("create: " ^ Error.to_string e)
-              in
-              let sites =
-                [ Value.Int i; Value.Int ((i + 1) mod nodes) ]
-              in
-              (match
-                 Cluster.invoke cl ~from:i cap ~op:"config"
-                   [ Value.List sites ]
-               with
-              | Ok _ -> ()
-              | Error e -> failwith ("config: " ^ Error.to_string e));
-              cap))
-  in
-  Cluster.run cl;
-  (* A frozen, replicated object gives speculation something to fan
-     out on: reads from a replica-less node clone to home + replicas,
-     and hedged retries re-send the stragglers.  Built fault-free like
-     the counters. *)
-  let frozen = ref None in
-  if clone || hedge then begin
-    let _ =
-      Cluster.in_process cl (fun () ->
-          match
-            Cluster.create_object cl ~node:(nodes - 1)
-              ~type_name:"chaos_counter" (Value.Int 7)
-          with
-          | Error e -> failwith ("create frozen: " ^ Error.to_string e)
-          | Ok cap ->
-            (match Cluster.freeze cl cap with
-            | Ok () -> ()
-            | Error e -> failwith ("freeze: " ^ Error.to_string e));
-            List.iter
-              (fun n ->
-                match Cluster.replicate cl cap ~to_node:n with
-                | Ok () -> ()
-                | Error e -> failwith ("replicate: " ^ Error.to_string e))
-              (if nodes >= 4 then [ 1; 2 ] else []);
-            frozen := Some cap)
-    in
-    Cluster.run cl
-  end;
-  let ctl = Eden_fault.Controller.arm ~seed:(Int64.of_int seed) cl plan in
-  let ok = ref 0 and failed = ref 0 in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        (* The request stream outlives the plan horizon, so the tail
-           of the run shows post-heal recovery. *)
-        for r = 0 to requests - 1 do
-          Engine.delay (Time.ms 10);
-          let cap = (!caps).(r mod nodes) in
-          (match
-             Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
-               ~retry:Api.default_retry cap ~op:"incr" []
-           with
-          | Ok _ -> incr ok
-          | Error _ -> incr failed);
-          match !frozen with
-          | Some fcap -> (
-            (* Interleave reads of the frozen object so the clone /
-               hedge path sees the same chaos the counters do. *)
-            match
-              Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
-                ~retry:Api.default_retry fcap ~op:"get" []
-            with
-            | Ok _ -> incr ok
-            | Error _ -> incr failed)
-          | None -> ()
-        done)
-  in
-  Cluster.run cl;
-  let attempts = !ok + !failed in
-  Printf.printf
-    "chaos: %d/%d invocations completed (%.1f%% available), %d faults \
-     injected\n"
-    !ok attempts
-    (100.0 *. Float.of_int !ok /. Float.of_int (max 1 attempts))
-    (Eden_fault.Controller.injected ctl);
-  dump_trace cl trace;
-  cl
-
-let run_chaos nodes seed fault_plan requests replica_cache coalesce
-    ckpt_delta ckpt_async clone hedge directory spares trace metrics_out =
-  let cl =
-    chaos_workload ~clone ~hedge ~directory ~spares ~nodes ~seed ~fault_plan
-      ~requests ~replica_cache ~coalesce ~ckpt_delta ~ckpt_async ~trace ()
-  in
-  write_metrics cl metrics_out;
-  summary cl
-
-let chaos_cmd =
+let run_cmd =
   let requests_t =
     Arg.(
       value & opt int 220
       & info [ "requests" ] ~docv:"R"
           ~doc:"Requests in the stream (one every 10ms of virtual time).")
   in
+  let out_t =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out" ] ~docv:"DIR"
+          ~doc:
+            "Write the artifact bundle under $(docv), creating it if \
+             missing: summary, plan, metrics snapshot, causal timeline \
+             (Chrome JSON and text), latency profile (text, JSON, folded \
+             stacks, Chrome overlay), health report and JSON, hot-object \
+             tables and the invariant verdicts.")
+  in
   Cmd.v
-    (Cmd.info "chaos"
+    (Cmd.info "run"
        ~doc:
-         "Mirrored counters under a deterministic fault plan (random \
-          from --seed unless --fault-plan is given).")
+         "Run the chaos workload with the health plane, critical-path \
+          profiling and the trace checker armed; exit non-zero on any \
+          invariant violation.")
     Term.(
       const run_chaos $ nodes_t $ seed_t $ fault_plan_t $ requests_t
       $ replica_cache_t $ coalesce_t $ ckpt_delta_t $ ckpt_async_t
-      $ clone_t $ hedge_t $ directory_t $ spares_t $ trace_t $ metrics_out_t)
+      $ clone_t $ hedge_t $ directory_t $ spares_t $ out_t)
 
 (* ------------------------------------------------------------------ *)
 (* reconfig: online membership change under load.  A paced counter
@@ -775,13 +614,10 @@ let run_reconfig nodes spares seed requests fault_plan trace metrics_out =
       ~spares ~n_nodes:nodes ()
   in
   Cluster.register_type cl counter_type;
-  setup_trace cl trace;
   let horizon = Time.ms (10 * requests) in
   let plan =
     match fault_plan with
-    | Some _ ->
-      load_plan ~file:fault_plan ~seed ~nodes:(nodes + spares) ~segments:1
-        ~horizon ~default_random:false
+    | Some file -> load_plan file ~nodes:(nodes + spares) ~segments:1
     | None ->
       (* Join the first spare a third of the way in, retire node 1 at
          two thirds: both membership steps land mid-stream. *)
@@ -853,7 +689,7 @@ let run_reconfig nodes spares seed requests fault_plan trace metrics_out =
         exit 1)
     !caps;
   print_endline "census: every object homed exactly once on a member";
-  dump_trace cl trace;
+  print_timeline cl trace;
   write_metrics cl metrics_out;
   summary cl
 
@@ -881,417 +717,6 @@ let reconfig_cmd =
     Term.(
       const run_reconfig $ nodes_t $ spares_default_t $ seed_t $ requests_t
       $ fault_plan_t $ trace_t $ metrics_out_t)
-
-(* ------------------------------------------------------------------ *)
-(* trace: run the chaos workload, assemble the per-node journals into
-   one causal timeline, export it, and audit the cross-node
-   invariants. *)
-
-let write_file ~path content =
-  try
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc content)
-  with Sys_error msg ->
-    Printf.eprintf "cannot write %s: %s\n" path msg;
-    exit 1
-
-let run_trace nodes seed fault_plan requests replica_cache coalesce ckpt_delta
-    ckpt_async clone hedge directory spares out text check =
-  let cl =
-    chaos_workload ~clone ~hedge ~directory ~spares ~nodes ~seed ~fault_plan
-      ~requests ~replica_cache ~coalesce ~ckpt_delta ~ckpt_async ~trace:false
-      ()
-  in
-  let tl = Cluster.timeline cl in
-  let dropped = Cluster.journal_dropped cl in
-  Printf.printf "timeline: %d events in %d traces across %d nodes%s\n"
-    (Eden_obs.Timeline.length tl)
-    (List.length (Eden_obs.Timeline.traces tl))
-    (List.length (Eden_obs.Timeline.nodes tl))
-    (if dropped > 0 then
-       Printf.sprintf " (%d events dropped: traces incomplete)" dropped
-     else "");
-  (match out with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file (Eden_obs.Timeline.to_chrome_string tl);
-    Printf.printf
-      "chrome trace written to %s (load in chrome://tracing or Perfetto)\n"
-      file);
-  (match text with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file (Eden_obs.Timeline.to_text tl);
-    Printf.printf "text timeline written to %s\n" file);
-  if check then begin
-    match Eden_obs.Check.run ~complete:(dropped = 0) tl with
-    | [] -> print_endline "trace-check: all invariants hold"
-    | violations ->
-      List.iter
-        (fun v ->
-          Printf.eprintf "%s\n"
-            (Format.asprintf "%a" Eden_obs.Check.pp_violation v))
-        violations;
-      Printf.eprintf "trace-check: %d violation(s)\n"
-        (List.length violations);
-      exit 1
-  end;
-  summary cl
-
-let trace_cmd =
-  let requests_t =
-    Arg.(
-      value & opt int 220
-      & info [ "requests" ] ~docv:"R"
-          ~doc:"Requests in the stream (one every 10ms of virtual time).")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the assembled timeline as Chrome trace_event JSON to \
-             $(docv) (open in chrome://tracing or ui.perfetto.dev).")
-  in
-  let text_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "text" ] ~docv:"FILE"
-          ~doc:"Write the timeline as human-readable causal trees to $(docv).")
-  in
-  let check_t =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Audit the assembled trace against the cross-node invariants \
-             (matched send/recv, causal time order, retry termination, \
-             cache install epochs); exit non-zero on any violation.")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run the chaos workload with causal tracing and export the \
-          merged cross-node timeline.")
-    Term.(
-      const run_trace $ nodes_t $ seed_t $ fault_plan_t $ requests_t
-      $ replica_cache_t $ coalesce_t $ ckpt_delta_t $ ckpt_async_t
-      $ clone_t $ hedge_t $ directory_t $ spares_t $ out_t $ text_out_t
-      $ check_t)
-
-(* ------------------------------------------------------------------ *)
-(* health / top: run the chaos workload with the health plane enabled
-   and report what the SLO watchdogs and hot-object sketches saw.  The
-   whole report is a function of the seed, so `make health-check` can
-   cmp two same-seed runs byte for byte. *)
-
-module Health = Eden_obs.Health
-module Topk = Eden_obs.Topk
-module Json = Eden_obs.Json
-
-let hot_table ~indent entries =
-  let buf = Buffer.create 256 in
-  List.iteri
-    (fun i e ->
-      Printf.bprintf buf "%s%2d. %-24s count %-8d err <= %d\n" indent (i + 1)
-        e.Topk.e_key e.Topk.e_count e.Topk.e_err)
-    entries;
-  Buffer.contents buf
-
-let health_workload ~nodes ~seed ~fault_plan ~requests ~replica_cache
-    ~coalesce ~ckpt_delta ~ckpt_async () =
-  chaos_workload ~health:Health.default_config ~nodes ~seed ~fault_plan
-    ~requests ~replica_cache ~coalesce ~ckpt_delta ~ckpt_async ~trace:false ()
-
-let health_report cl =
-  let h =
-    match Cluster.health cl with Some h -> h | None -> assert false
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf (Health.report h);
-  (* The causal record of every state change, from node 0's journal
-     (where the cluster records Alert events). *)
-  let alerts =
-    List.filter
-      (fun ev ->
-        match ev.Eden_obs.Journal.ev_kind with
-        | Eden_obs.Journal.Alert _ -> true
-        | _ -> false)
-      (Eden_obs.Journal.events (Cluster.journal cl 0))
-  in
-  Printf.bprintf buf "alert transitions (%d retained):\n"
-    (List.length alerts);
-  List.iter
-    (fun ev ->
-      Printf.bprintf buf "  %s\n"
-        (Format.asprintf "%a" Eden_obs.Journal.pp_event ev))
-    alerts;
-  let hot = Cluster.hot_objects_rollup cl ~k:10 () in
-  Printf.bprintf buf "hottest objects (cluster rollup, top %d):\n"
-    (List.length hot);
-  Buffer.add_string buf (hot_table ~indent:"  " hot);
-  Buffer.contents buf
-
-let hot_json entries =
-  Json.List
-    (List.map
-       (fun e ->
-         Json.Obj
-           [
-             ("object", Json.Str e.Topk.e_key);
-             ("count", Json.Int e.Topk.e_count);
-             ("err", Json.Int e.Topk.e_err);
-           ])
-       entries)
-
-let run_health nodes seed fault_plan requests replica_cache coalesce
-    ckpt_delta ckpt_async out json_out =
-  let cl =
-    health_workload ~nodes ~seed ~fault_plan ~requests ~replica_cache
-      ~coalesce ~ckpt_delta ~ckpt_async ()
-  in
-  let report = health_report cl in
-  print_string report;
-  (match out with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file report;
-    Printf.printf "health report written to %s\n" file);
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    let h = Option.get (Cluster.health cl) in
-    let doc =
-      Json.Obj
-        [
-          ("health", Health.to_json h);
-          ("hot_objects", hot_json (Cluster.hot_objects_rollup cl ~k:10 ()));
-        ]
-    in
-    write_file ~path:file (Json.to_string ~compact:false doc);
-    Printf.printf "health JSON written to %s\n" file);
-  summary cl
-
-let health_cmd =
-  let requests_t =
-    Arg.(
-      value & opt int 220
-      & info [ "requests" ] ~docv:"R"
-          ~doc:"Requests in the stream (one every 10ms of virtual time).")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the health report (SLO dashboard, alert transitions, \
-             hot objects) to $(docv); byte-identical across same-seed \
-             runs.")
-  in
-  let json_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the health state and hot-object rollup as JSON.")
-  in
-  Cmd.v
-    (Cmd.info "health"
-       ~doc:
-         "Run the chaos workload with the health plane enabled and \
-          report SLO rule states, alert transitions and the hottest \
-          objects.")
-    Term.(
-      const run_health $ nodes_t $ seed_t $ fault_plan_t $ requests_t
-      $ replica_cache_t $ coalesce_t $ ckpt_delta_t $ ckpt_async_t $ out_t
-      $ json_t)
-
-let run_top nodes seed fault_plan requests replica_cache coalesce ckpt_delta
-    ckpt_async k json_out =
-  let cl =
-    health_workload ~nodes ~seed ~fault_plan ~requests ~replica_cache
-      ~coalesce ~ckpt_delta ~ckpt_async ()
-  in
-  for i = 0 to Cluster.node_count cl - 1 do
-    let entries = Cluster.hot_objects cl ~k i in
-    Printf.printf "node %d (top %d):\n%s" i (List.length entries)
-      (hot_table ~indent:"  " entries)
-  done;
-  let hot = Cluster.hot_objects_rollup cl ~k () in
-  Printf.printf "cluster rollup (top %d):\n%s" (List.length hot)
-    (hot_table ~indent:"  " hot);
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file (Json.to_string ~compact:false (hot_json hot));
-    Printf.printf "hot-object JSON written to %s\n" file);
-  summary cl
-
-let top_cmd =
-  let requests_t =
-    Arg.(
-      value & opt int 220
-      & info [ "requests" ] ~docv:"R"
-          ~doc:"Requests in the stream (one every 10ms of virtual time).")
-  in
-  let k_t =
-    Arg.(
-      value & opt int 10
-      & info [ "k"; "top" ] ~docv:"K" ~doc:"Entries per hot-object table.")
-  in
-  let json_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the cluster hot-object rollup as JSON.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Run the chaos workload with the health plane enabled and show \
-          the hottest objects per node and cluster-wide.")
-    Term.(
-      const run_top $ nodes_t $ seed_t $ fault_plan_t $ requests_t
-      $ replica_cache_t $ coalesce_t $ ckpt_delta_t $ ckpt_async_t $ k_t
-      $ json_t)
-
-(* ------------------------------------------------------------------ *)
-(* profile: run the chaos workload with critical-path profiling armed
-   and attribute every request's end-to-end latency over its causal
-   trace.  The whole report is a function of the seed, so `make
-   profile-check` can cmp two same-seed runs byte for byte. *)
-
-let run_profile nodes seed fault_plan requests replica_cache coalesce
-    ckpt_delta ckpt_async clone hedge directory spares out json_out folded
-    chrome check =
-  let cl =
-    chaos_workload ~clone ~hedge ~directory ~profiling:true ~spares ~nodes
-      ~seed ~fault_plan ~requests ~replica_cache ~coalesce ~ckpt_delta
-      ~ckpt_async ~trace:false ()
-  in
-  let tl = Cluster.timeline cl in
-  let dropped = Cluster.journal_dropped cl in
-  let pf = Eden_obs.Profile.of_timeline tl in
-  print_string (Eden_obs.Profile.to_text pf);
-  if dropped > 0 then
-    Printf.printf
-      "(journal dropped %d events; %d request(s) skipped as incomplete)\n"
-      dropped
-      (Eden_obs.Profile.skipped pf);
-  (match out with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file (Eden_obs.Profile.to_text pf);
-    Printf.printf "profile written to %s\n" file);
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file
-      (Json.to_string ~compact:false (Eden_obs.Profile.to_json pf));
-    Printf.printf "profile JSON written to %s\n" file);
-  (match folded with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file (Eden_obs.Profile.to_folded pf);
-    Printf.printf "folded stacks written to %s (flamegraph.pl input)\n" file);
-  (match chrome with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file
-      (Eden_obs.Timeline.to_chrome_string
-         ~extra:(Eden_obs.Profile.chrome_extra pf)
-         tl);
-    Printf.printf
-      "chrome trace with attribution bars written to %s (load in \
-       chrome://tracing or Perfetto)\n"
-      file);
-  if check then begin
-    match Eden_obs.Check.run ~complete:(dropped = 0) tl with
-    | [] -> print_endline "profile-check: all invariants hold"
-    | violations ->
-      List.iter
-        (fun v ->
-          Printf.eprintf "%s\n"
-            (Format.asprintf "%a" Eden_obs.Check.pp_violation v))
-        violations;
-      Printf.eprintf "%s\n"
-        (Json.to_string ~compact:true
-           (Eden_obs.Check.violations_to_json violations));
-      Printf.eprintf "profile-check: %d violation(s)\n"
-        (List.length violations);
-      exit 1
-  end;
-  summary cl
-
-let profile_cmd =
-  let requests_t =
-    Arg.(
-      value & opt int 220
-      & info [ "requests" ] ~docv:"R"
-          ~doc:"Requests in the stream (one every 10ms of virtual time).")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the profile report (the same text as stdout) to $(docv); \
-             byte-identical across same-seed runs.")
-  in
-  let json_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the profile as JSON to $(docv).")
-  in
-  let folded_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "folded" ] ~docv:"FILE"
-          ~doc:
-            "Write folded flame-graph stacks \
-             (target.op;category count-in-ns per line) to $(docv), ready \
-             for flamegraph.pl or speedscope.")
-  in
-  let chrome_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:
-            "Write the causal timeline as Chrome trace_event JSON with one \
-             attribution bar per request to $(docv).")
-  in
-  let check_t =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Audit the trace against all eight invariants, including \
-             attribution-complete (every request's category breakdown must \
-             sum exactly to its end-to-end latency); exit non-zero on any \
-             violation.")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run the chaos workload with critical-path profiling and \
-          attribute each request's latency across \
-          service/queue/wire/directory/backoff categories.")
-    Term.(
-      const run_profile $ nodes_t $ seed_t $ fault_plan_t $ requests_t
-      $ replica_cache_t $ coalesce_t $ ckpt_delta_t $ ckpt_async_t
-      $ clone_t $ hedge_t $ directory_t $ spares_t $ out_t $ json_t
-      $ folded_t $ chrome_t $ check_t)
 
 (* ------------------------------------------------------------------ *)
 (* edit: the interactive object editor (the paper's editing paradigm:
@@ -1653,12 +1078,8 @@ let () =
             synth_cmd;
             efs_cmd;
             heartbeat_cmd;
-            chaos_cmd;
+            run_cmd;
             reconfig_cmd;
-            trace_cmd;
-            profile_cmd;
-            health_cmd;
-            top_cmd;
             stats_cmd;
             metrics_check_cmd;
             edit_cmd;

@@ -18,7 +18,14 @@ type retry = {
     Section 3.2), so a timed-out attempt may be re-issued after a
     capped exponential backoff ([r_base], [2*r_base], [4*r_base], ...
     never exceeding [r_cap]).  Only [Error.Timeout] is retried — every
-    other failure is a definitive answer from the system. *)
+    other failure is a definitive answer from the system.
+
+    {b Warning: retries are not at-most-once.}  Each re-issue mints a
+    fresh request id, so the serving side cannot tell it from a new
+    request: a mutation whose {e reply} was lost has already applied,
+    and its retry applies it again.  Under reply loss a stream of 100
+    counter increments with {!default_retry} over-counts by 7–13.
+    Retry only idempotent operations, or tolerate duplicates. *)
 
 val no_retry : retry
 (** Try exactly once (the historical behaviour). *)
@@ -65,7 +72,8 @@ type ctx = {
   random : Eden_util.Splitmix.t;  (** per-object deterministic stream *)
   compute : Eden_util.Time.t -> unit;
       (** consume CPU service time on this node's processor pool *)
-  log : string -> unit;  (** App-category trace *)
+  log : string -> unit;
+      (** journal a [Log] event at the object's home node *)
   (* representation *)
   get_repr : unit -> Value.t;
   set_repr : Value.t -> (unit, Error.t) result;

@@ -319,7 +319,6 @@ type profile_counters = {
 
 type t = {
   eng : Engine.t;
-  tr : Trace.t;
   c_lan : Transport.net;
   nodes : node array;
   types : (string, Typemgr.t) Hashtbl.t;
@@ -422,8 +421,6 @@ let cpu node = Machine.cpu node.nd_machine
 let consume node t = Cpu.consume (cpu node) t
 let home cl obj = cl.nodes.(obj.ob_home)
 
-let tracef cl cat fmt = Trace.emitf cl.tr (Engine.now cl.eng) cat fmt
-
 let nm cl (node : node) = cl.c_nm.(node.nd_id)
 
 let span_enter cl w phase =
@@ -484,7 +481,6 @@ let send_ctx cl node ?ctx msg ~dst =
 
 let send_msg ?ctx cl node ~dst msg =
   if node.nd_up && dst <> node.nd_id then begin
-    tracef cl Trace.Kern "%d->%d %s" node.nd_id dst (Message.describe msg);
     let ctx = send_ctx cl node ?ctx msg ~dst:(Some dst) in
     Transport.send node.nd_tp ~dst (Message.traced ~ctx msg)
   end
@@ -494,14 +490,12 @@ let send_msg ?ctx cl node ~dst msg =
    the same wire transfer as — the very work it retracts. *)
 let send_msg_now ?ctx cl node ~dst msg =
   if node.nd_up && dst <> node.nd_id then begin
-    tracef cl Trace.Kern "%d->%d! %s" node.nd_id dst (Message.describe msg);
     let ctx = send_ctx cl node ?ctx msg ~dst:(Some dst) in
     Transport.send_now node.nd_tp ~dst (Message.traced ~ctx msg)
   end
 
 let bcast_msg ?ctx cl node msg =
   if node.nd_up then begin
-    tracef cl Trace.Kern "%d->* %s" node.nd_id (Message.describe msg);
     let ctx = send_ctx cl node ?ctx msg ~dst:None in
     Transport.broadcast node.nd_tp (Message.traced ~ctx msg)
   end
@@ -758,7 +752,9 @@ let make_ctx cl obj =
     compute = (fun t -> consume (home cl obj) t);
     log =
       (fun s ->
-        tracef cl Trace.App "%s: %s" (Name.to_string obj.ob_name) s);
+        ignore
+          (jrecord cl (home cl obj)
+             (Journal.Log { text = Name.to_string obj.ob_name ^ ": " ^ s })));
     get_repr = (fun () -> obj.ob_repr);
     set_repr =
       (fun v ->
@@ -1077,7 +1073,7 @@ let spawn_behaviours cl obj =
 (* -------------------------------------------------------------------- *)
 (* Memory and type-code loading *)
 
-let load_type_code cl node tm =
+let load_type_code node tm =
   let tname = Typemgr.name tm in
   if Hashtbl.mem node.nd_types_loaded tname then Ok ()
   else begin
@@ -1089,7 +1085,6 @@ let load_type_code cl node tm =
          node, would come from a file server; we model a local read). *)
       Disk.read (Machine.disk node.nd_machine) ~bytes;
       Hashtbl.replace node.nd_types_loaded tname ();
-      tracef cl Trace.Kern "node %d loaded type code %s" node.nd_id tname;
       Ok ()
   end
 
@@ -1139,7 +1134,7 @@ let do_create_local cl node type_name init =
     match Hashtbl.find_opt cl.types type_name with
     | None -> Error (Error.Bad_arguments ("unknown type " ^ type_name))
     | Some tm -> (
-      match load_type_code cl node tm with
+      match load_type_code node tm with
       | Error e -> Error e
       | Ok () -> (
         let footprint = object_footprint tm init in
@@ -1159,8 +1154,6 @@ let do_create_local cl node type_name init =
           spawn_behaviours cl obj;
           Name.Table.replace node.nd_active name obj;
           dir_publish cl node name ~home:node.nd_id ~replicas:[];
-          tracef cl Trace.Kern "created %s type=%s on node %d"
-            (Name.to_string name) type_name node.nd_id;
           Ok (Capability.make name Rights.all)))
 
 (* Reincarnate a passive object from its snapshot on [node].  Blocking.
@@ -1192,7 +1185,7 @@ let activate cl node name =
         | None ->
           finish (Error (Error.Bad_arguments ("unknown type " ^ snap.ss_type)))
         | Some tm -> (
-          match load_type_code cl node tm with
+          match load_type_code node tm with
           | Error e -> finish (Error e)
           | Ok () -> (
             let footprint = object_footprint tm snap.ss_repr in
@@ -1258,8 +1251,6 @@ let activate cl node name =
                 dir_publish ~ctx:actx cl node name ~home:node.nd_id
                   ~replicas:[];
                 Metrics.incr (nm cl node).m_recoveries;
-                tracef cl Trace.Store "reincarnated %s on node %d"
-                  (Name.to_string name) node.nd_id;
                 finish (Ok obj)
               end)))))
 
@@ -1270,11 +1261,7 @@ let activate cl node name =
    accepts nothing (and writes no partial state). *)
 let write_snapshot cl node ~target ~type_name ~repr ~version ~reliability
     ~frozen ~passive =
-  if not node.nd_disk_ok then begin
-    tracef cl Trace.Store "node %d refused snapshot of %s: disk failed"
-      node.nd_id (Name.to_string target);
-    false
-  end
+  if not node.nd_disk_ok then false
   else begin
     Metrics.incr (nm cl node).m_ckpts;
     Metrics.add (nm cl node).m_ckpt_bytes (Value.size_bytes repr);
@@ -1296,8 +1283,6 @@ let write_snapshot cl node ~target ~type_name ~repr ~version ~reliability
           ss_frozen = frozen;
           ss_passive = passive;
         });
-    tracef cl Trace.Store "node %d stored snapshot of %s v%d (%dB)" node.nd_id
-      (Name.to_string target) version (Value.size_bytes repr);
     true
   end
 
@@ -1307,28 +1292,14 @@ let write_snapshot cl node ~target ~type_name ~repr ~version ~reliability
    the delta's base. *)
 let apply_delta_snapshot cl node ~target ~base_version ~version ~delta
     ~reliability ~frozen =
-  if not node.nd_disk_ok then begin
-    tracef cl Trace.Store "node %d refused delta for %s: disk failed"
-      node.nd_id (Name.to_string target);
-    false
-  end
+  if not node.nd_disk_ok then false
   else
     match Name.Table.find_opt node.nd_store target with
-    | None ->
-      tracef cl Trace.Store "node %d nacked delta for %s: no base snapshot"
-        node.nd_id (Name.to_string target);
-      false
-    | Some snap when snap.ss_version <> base_version ->
-      tracef cl Trace.Store
-        "node %d nacked delta for %s: base v%d but stored v%d" node.nd_id
-        (Name.to_string target) base_version snap.ss_version;
-      false
+    | None -> false
+    | Some snap when snap.ss_version <> base_version -> false
     | Some snap -> (
       match Delta.apply delta ~base:snap.ss_repr with
-      | Error msg ->
-        tracef cl Trace.Store "node %d nacked delta for %s: %s" node.nd_id
-          (Name.to_string target) msg;
-        false
+      | Error _ -> false
       | Ok repr ->
         let bytes = Delta.size_bytes delta in
         Metrics.incr (nm cl node).m_ckpts;
@@ -1339,8 +1310,6 @@ let apply_delta_snapshot cl node ~target ~base_version ~version ~delta
         snap.ss_reliability <- reliability;
         snap.ss_frozen <- frozen;
         snap.ss_passive <- false;
-        tracef cl Trace.Store "node %d applied delta for %s v%d->v%d (%dB)"
-          node.nd_id (Name.to_string target) base_version version bytes;
         true)
 
 (* One checkpoint round: stamp a fresh version and write [repr] to
@@ -1658,8 +1627,6 @@ let do_crash cl obj =
                }))
       obj.ob_ckpt_sites;
     unregister cl obj;
-    tracef cl Trace.Kern "%s crashed on node %d" (Name.to_string obj.ob_name)
-      node.nd_id;
     kill_object_procs cl obj
   end
 
@@ -1736,8 +1703,6 @@ let do_move cl obj ~to_node ~self_inflight =
          discipline.  Without this a balanced-away object costs every
          directory user a nack round before the fallback repairs it. *)
       dir_publish cl source obj.ob_name ~home:to_node ~replicas:[];
-      tracef cl Trace.Move "moved %s: node %d -> node %d"
-        (Name.to_string obj.ob_name) source.nd_id to_node;
       Ok ()
     | Some false ->
       resume_and_flush ();
@@ -1773,8 +1738,6 @@ let do_replicate cl obj ~to_node =
          entry's replica set, seeding requesters' clone sets. *)
       dir_publish cl node obj.ob_name ~home:obj.ob_home
         ~replicas:[ to_node ];
-      tracef cl Trace.Move "replicated %s to node %d"
-        (Name.to_string obj.ob_name) to_node;
       Ok ()
     | Some false -> Error Error.Out_of_memory
     | None -> Error Error.Node_down
@@ -1805,8 +1768,6 @@ let drop_cached cl node target =
     Memory.release node.nd_mem obj.ob_mem;
     obj.ob_mem <- 0;
     Metrics.incr (nm cl node).m_cache_inval;
-    tracef cl Trace.Kern "node %d dropped cached replica of %s" node.nd_id
-      (Name.to_string target);
     kill_object_procs cl obj
 
 let cache_epoch node name =
@@ -1837,7 +1798,7 @@ let install_cached cl node name ~type_name ~repr =
     match Hashtbl.find_opt cl.types type_name with
     | None -> ()
     | Some tm -> (
-      match load_type_code cl node tm with
+      match load_type_code node tm with
       | Error _ -> ()
       | Ok () -> (
         let footprint = object_footprint tm repr in
@@ -1854,9 +1815,7 @@ let install_cached cl node name ~type_name ~repr =
           ignore
             (jrecord cl node
                (Journal.Cache_install
-                  { target = Name.to_string name; epoch = cache_epoch node name }));
-          tracef cl Trace.Kern "node %d cached frozen replica of %s"
-            node.nd_id (Name.to_string name)))
+                  { target = Name.to_string name; epoch = cache_epoch node name }))))
 
 (* Fetch [name]'s representation from [from_node] in the background.
    Failures are silent: the cache is an optimisation, and the next
@@ -2750,7 +2709,7 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
                match Hashtbl.find_opt cl.types type_name with
                | None -> false
                | Some tm -> (
-                 match load_type_code cl node tm with
+                 match load_type_code node tm with
                  | Error _ -> false
                  | Ok () -> (
                    let footprint = object_footprint tm repr in
@@ -2812,7 +2771,7 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
                match Hashtbl.find_opt cl.types type_name with
                | None -> false
                | Some tm -> (
-                 match load_type_code cl node tm with
+                 match load_type_code node tm with
                  | Error _ -> false
                  | Ok () -> (
                    let footprint = object_footprint tm repr in
@@ -3125,8 +3084,7 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
       segment_sizes;
     table
   in
-  let eng = Engine.create ~seed ()
-  and tr = Trace.create () in
+  let eng = Engine.create ~seed () in
   let lan =
     Transport.create_net ?params:net ?coalesce eng
       ~segments:(List.length segment_sizes)
@@ -3184,7 +3142,6 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
   let cl =
     {
       eng;
-      tr;
       c_lan = lan;
       nodes;
       types = Hashtbl.create 16;
@@ -3393,7 +3350,6 @@ let default ?seed ?options ?coalesce ?journal_cap ?health ?spares ~n_nodes () =
   create ?seed ?options ?coalesce ?journal_cap ?health ?spares ~configs ()
 
 let engine cl = cl.eng
-let trace cl = cl.tr
 let network cl = cl.c_lan
 let node_segment cl i = Transport.segment (node_of cl i).nd_tp
 let node_count cl = Array.length cl.nodes
@@ -3531,8 +3487,6 @@ let unfreeze cl cap =
            the object migrated here — is invalidated directly. *)
         invalidate_cached cl node name;
         bcast_msg cl node (Message.Cache_invalidate { target = name });
-        tracef cl Trace.Kern "%s unfrozen on node %d" (Name.to_string name)
-          obj.ob_home;
         Ok ()
       end)
 
@@ -3578,8 +3532,6 @@ let destroy cl cap =
       let works = outstanding_works obj in
       List.iter (fun w -> fail_work cl obj w Error.No_such_object) works;
       unregister cl obj;
-      tracef cl Trace.Kern "%s destroyed on node %d" (Name.to_string name)
-        obj.ob_home;
       kill_object_procs cl obj
     | None -> ());
     (* Existence check is omniscient (control plane); the purge itself
@@ -3610,7 +3562,6 @@ let crash_node cl i =
   if node.nd_up then begin
     node.nd_up <- false;
     Transport.set_up node.nd_tp false;
-    tracef cl Trace.Kern "node %d: power off" i;
     let objs =
       Name.Table.fold (fun _ o acc -> o :: acc) node.nd_active []
       @ Name.Table.fold (fun _ o acc -> o :: acc) node.nd_replicas []
@@ -3701,7 +3652,6 @@ let restart_node ?(rebuild = false) cl i =
   if not node.nd_up then begin
     node.nd_up <- true;
     Transport.set_up node.nd_tp true;
-    tracef cl Trace.Kern "node %d: power on" i;
     (* A node that slept through reconfigurations catches up at boot
        (a real kernel would learn the epoch from its first exchange).
        Journalled only when the view actually moves — invariant 7
@@ -3728,11 +3678,7 @@ let restart_node ?(rebuild = false) cl i =
 
 let set_disk_failed cl i failed =
   let node = node_of cl i in
-  if node.nd_disk_ok = failed then begin
-    node.nd_disk_ok <- not failed;
-    tracef cl Trace.Store "node %d: checkpoint store %s" i
-      (if failed then "failed" else "restored")
-  end
+  if node.nd_disk_ok = failed then node.nd_disk_ok <- not failed
 
 let disk_ok cl i = (node_of cl i).nd_disk_ok
 
@@ -3772,7 +3718,6 @@ let join_node cl i =
   else if not node.nd_up then
     Error (Printf.sprintf "node %d is powered off" i)
   else begin
-    tracef cl Trace.Kern "node %d: joins at epoch %d" i (cl.c_epoch + 1);
     bump_epoch cl node ~members:(List.sort Int.compare (i :: cl.c_members));
     Ok ()
   end
@@ -3809,7 +3754,6 @@ let decommission_node cl i =
     Error "cannot decommission the last member"
   else begin
     node.nd_draining <- true;
-    tracef cl Trace.Kern "node %d: draining for decommission" i;
     let victims =
       Name.Table.fold (fun _ o acc -> o :: acc) node.nd_active []
       |> List.filter (fun o ->

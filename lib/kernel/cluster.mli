@@ -147,7 +147,6 @@ val default :
     Requires [n_nodes >= 1]. *)
 
 val engine : t -> Eden_sim.Engine.t
-val trace : t -> Eden_sim.Trace.t
 
 val network : t -> Transport.net
 (** The cluster's internetwork, for frame counters and topology
@@ -200,7 +199,9 @@ val invoke :
     wherever it lives, deliver the request, await the reply.
     [?timeout] bounds each attempt; [?retry] (default {!Api.no_retry})
     re-issues timed-out attempts with capped exponential backoff —
-    recovery is the requester's timeout. *)
+    recovery is the requester's timeout.  Each re-issue carries a fresh
+    request id, so a mutation whose reply was lost can apply twice
+    (see {!Api.retry}). *)
 
 val invoke_async :
   t ->
@@ -211,7 +212,9 @@ val invoke_async :
   op:string ->
   Value.t list ->
   Api.invoke_result Eden_sim.Promise.t
-(** Start an invocation without blocking; await the promise later. *)
+(** Start an invocation without blocking; await the promise later.
+    Retries behave as in {!invoke}: a timed-out mutation can apply
+    twice. *)
 
 val move : t -> Capability.t -> to_node:node_id -> (unit, Error.t) result
 (** Blocking.  Transfer the object to another node (requires

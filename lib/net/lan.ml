@@ -50,7 +50,6 @@ and 'a t = {
   mutable c_collisions : int;
   mutable c_backoffs : int;
   latencies : Stats.t;
-  mutable trace : Trace.t option;
 }
 
 let create ?(params = Params.default) eng =
@@ -72,7 +71,6 @@ let create ?(params = Params.default) eng =
     c_collisions = 0;
     c_backoffs = 0;
     latencies = Stats.create ();
-    trace = None;
   }
 
 let params lan = lan.prm
@@ -81,12 +79,6 @@ let address st = st.st_addr
 let station_name st = st.st_name
 let station_count lan = Array.length lan.stations
 let on_receive st f = st.st_receive <- Some f
-let set_trace lan tr = lan.trace <- Some tr
-
-let tracef lan fmt =
-  match lan.trace with
-  | Some tr -> Trace.emitf tr (Engine.now lan.eng) Trace.Net fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.err_formatter fmt
 
 let deliver lan frame addr =
   let st = lan.stations.(addr) in
@@ -119,7 +111,6 @@ let close_window lan =
     Engine.wake lan.eng c.c_h
   | several ->
     lan.c_collisions <- lan.c_collisions + 1;
-    tracef lan "collision among %d stations" (List.length several);
     lan.state <- Busy;
     Engine.schedule lan.eng ~after:lan.prm.jam (fun () ->
         lan.state <- Idle;
@@ -169,8 +160,6 @@ let rec mac_transmit lan st frame ~attempt =
     end
     else if attempt >= lan.prm.max_attempts then begin
       lan.c_dropped <- lan.c_dropped + 1;
-      tracef lan "station %d dropped frame after %d attempts" st.st_addr
-        attempt;
       false
     end
     else begin

@@ -77,5 +77,3 @@ val utilisation : 'a t -> over:Eden_util.Time.t -> float
 val latency_stats : 'a t -> Eden_util.Stats.t
 (** Per-frame delay from {!send} to delivery, in seconds. *)
 
-val set_trace : 'a t -> Eden_sim.Trace.t -> unit
-(** Emit [Net] trace records for sends, collisions and drops. *)

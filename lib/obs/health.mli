@@ -115,8 +115,8 @@ val statuses : t -> status list
 (** One status per rule, in [hc_rules] order. *)
 
 val report : t -> string
-(** Deterministic fixed-width text dashboard (the [edenctl health]
-    body). *)
+(** Deterministic fixed-width text dashboard (the head of the
+    [health.txt] artifact in an [edenctl run] bundle). *)
 
 val to_json : t -> Json.t
 (** Schema [eden-health/1]; [nan] values export as [null]. *)

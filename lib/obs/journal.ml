@@ -29,6 +29,7 @@ type kind =
   | Net_flush of { dst : int; msgs : int }
   | Net_hold of { dst : int option; by : Time.t }
   | Drain_stall of { target : string }
+  | Log of { text : string }
 
 let kind_name = function
   | Send _ -> "send"
@@ -59,6 +60,7 @@ let kind_name = function
   | Net_flush _ -> "net_flush"
   | Net_hold _ -> "net_hold"
   | Drain_stall _ -> "drain_stall"
+  | Log _ -> "log"
 
 let pp_dst = function Some d -> Printf.sprintf "n%d" d | None -> "*"
 
@@ -105,6 +107,7 @@ let describe_kind = function
   | Net_hold { dst; by } ->
     Printf.sprintf "net hold %s by %s" (pp_dst dst) (Time.to_string by)
   | Drain_stall { target } -> Printf.sprintf "drain stall %s" target
+  | Log { text } -> "log " ^ text
 
 type event = {
   ev_id : int;
@@ -334,6 +337,10 @@ let store t ~slot ~id ~at ~trace ~parent kind =
   | Drain_stall { target } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:27 ~a1:(-1) ~a2:(-1)
       ~s1:(intern t 21 target) ~s2:""
+  | Log { text } ->
+    (* Free text is rarely repeated: stored as-is, never interned. *)
+    set t ~slot ~id ~at ~trace ~parent ~tag:28 ~a1:(-1) ~a2:(-1) ~s1:text
+      ~s2:""
 
 let decode ~tag ~a1 ~a2 ~s1 ~s2 =
   match tag with
@@ -365,6 +372,7 @@ let decode ~tag ~a1 ~a2 ~s1 ~s2 =
   | 25 -> Net_flush { dst = a1; msgs = a2 }
   | 26 -> Net_hold { dst = dec_opt a1; by = Time.ns a2 }
   | 27 -> Drain_stall { target = s1 }
+  | 28 -> Log { text = s1 }
   | _ -> assert false
 
 let grow t =

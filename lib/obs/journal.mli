@@ -83,6 +83,10 @@ type kind =
       (** the work item arrived while [target] was draining and was
           stashed until reactivation elsewhere; subsequent queue time
           is attributed to the drain category.  Profiling-gated. *)
+  | Log of { text : string }
+      (** free text from type code ([Api.ctx.log]), prefixed with the
+          object's name and recorded at its home node; roots its own
+          trace *)
 
 val kind_name : kind -> string
 val describe_kind : kind -> string

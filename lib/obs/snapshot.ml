@@ -177,19 +177,23 @@ let rec mkdir_p dir =
 
 (* Write-then-rename so a reader polling [path] never observes a torn
    file: the temp file lives in the same directory, making the rename
-   atomic on POSIX filesystems. *)
-let write_file ?compact t ~path =
-  let dir = Filename.dirname path in
-  mkdir_p dir;
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
+   atomic on POSIX filesystems.  Created 0o666 less the umask, like
+   any plain output file. *)
+let write_string ~path contents =
+  mkdir_p (Filename.dirname path);
+  let tmp = path ^ ".tmp" in
   (try
-     Out_channel.with_open_text tmp (fun oc ->
-         Out_channel.output_string oc (to_string ?compact t);
-         Out_channel.output_char oc '\n')
+     Out_channel.with_open_gen
+       [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
+       0o666 tmp
+       (fun oc -> Out_channel.output_string oc contents)
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   Sys.rename tmp path
+
+let write_file ?compact t ~path =
+  write_string ~path (to_string ?compact t ^ "\n")
 
 (* ---------------------------------------------------------------- *)
 (* Pretty table *)

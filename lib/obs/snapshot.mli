@@ -37,10 +37,15 @@ val of_json : Json.t -> (t, string) result
 val to_string : ?compact:bool -> t -> string
 val of_string : string -> (t, string) result
 
+val write_string : path:string -> string -> unit
+(** Write [contents] to [path], creating missing parent directories
+    first.  The bytes go to a temporary file beside [path] that is then
+    renamed over it, so a reader never observes a torn file.  Raises
+    [Sys_error] if the path is unwritable.  Every artifact writer in
+    the tree goes through this one function. *)
+
 val write_file : ?compact:bool -> t -> path:string -> unit
-(** Write the JSON export (plus a trailing newline) to [path],
-    creating missing parent directories first.  Raises [Sys_error] if
-    the path is unwritable. *)
+(** {!write_string} of the JSON export plus a trailing newline. *)
 
 val pp_table : t -> string
 (** Render the metric samples as aligned ASCII tables: one table with

@@ -19,12 +19,12 @@ type wake = Woken | Timed_out
 
 type event = { ev_time : Time.t; ev_run : unit -> unit }
 
-(* The sampler is deliberately not a heap event: [run] drains the heap
+(* Samplers are deliberately not heap events: [run] drains the heap
    to completion, so a self-rescheduling sampler event would keep the
    simulation alive forever, and even a bounded one would perturb
    [n_events].  Instead the run loop interleaves sampler boundaries
    with heap events by time (boundary first on ties), touching neither
-   the heap nor the event counter — a run with a sampler executes the
+   the heap nor the event counter — a run with samplers executes the
    exact same schedule as one without. *)
 type sampler = {
   smp_interval : Time.t;
@@ -41,7 +41,7 @@ type t = {
   mutable n_events : int;
   mutable n_spawned : int;
   mutable running : Pid.t option;
-  mutable sampler : sampler option;
+  mutable samplers : sampler array;  (* registration order *)
 }
 
 and proc = {
@@ -77,7 +77,7 @@ let create ?(seed = 1L) () =
     n_events = 0;
     n_spawned = 0;
     running = None;
-    sampler = None;
+    samplers = [||];
   }
 
 let now eng = eng.clock
@@ -262,8 +262,10 @@ let handle_idle eng =
 
 let every eng ~interval f =
   if Time.is_zero interval then invalid_arg "Engine.every: zero interval";
-  eng.sampler <-
-    Some { smp_interval = interval; smp_next = Time.add eng.clock interval; smp_fn = f }
+  let smp =
+    { smp_interval = interval; smp_next = Time.add eng.clock interval; smp_fn = f }
+  in
+  eng.samplers <- Array.append eng.samplers [| smp |]
 
 let run ?until eng =
   (match eng.running with
@@ -273,16 +275,22 @@ let run ?until eng =
   let within_limit t =
     match until with None -> true | Some l -> Time.(t <= l)
   in
-  (* True when the sampler's next boundary is due at or before [t] (and
-     within the run limit): the boundary fires first, so events at the
-     boundary instant land in the next window. *)
+  (* The sampler whose next boundary comes first — the earliest
+     registered one on a tie — if that boundary is due at or before
+     [t] (and within the run limit): boundaries fire first, so events
+     at the boundary instant land in the next window. *)
   let sampler_due t =
-    match eng.sampler with
-    | Some smp
-      when (let n = smp.smp_next in
-            Time.(n <= t) && within_limit n) ->
-      Some smp
-    | Some _ | None -> None
+    let smps = eng.samplers in
+    let best = ref (-1) in
+    for i = 0 to Array.length smps - 1 do
+      if !best < 0 || Time.(smps.(i).smp_next < smps.(!best).smp_next) then
+        best := i
+    done;
+    if !best < 0 then None
+    else
+      let smp = smps.(!best) in
+      let n = smp.smp_next in
+      if Time.(n <= t) && within_limit n then Some smp else None
   in
   let fire s =
     eng.clock <- s.smp_next;

@@ -105,18 +105,18 @@ val run : ?until:Eden_util.Time.t -> t -> unit
     [Invalid_argument] if called from inside a process. *)
 
 val every : t -> interval:Eden_util.Time.t -> (unit -> unit) -> unit
-(** Install the engine's periodic sampler: from the current clock, [f]
-    runs at every multiple of [interval] while events remain, as a
-    plain non-blocking callback (like {!schedule} bodies).  The sampler
-    is interleaved with heap events by time — at a shared instant the
-    sampler fires first, so events landing exactly on a boundary count
-    toward the next sample — but it is {e not} a heap event: it never
-    extends the run past the last real event, never perturbs
-    {!events_processed}, and a run with a sampler executes the exact
+(** Add a periodic sampler: from the current clock, [f] runs at every
+    multiple of [interval] while events remain, as a plain
+    non-blocking callback (like {!schedule} bodies).  Samplers are
+    interleaved with heap events by time — at a shared instant the
+    samplers fire first, so events landing exactly on a boundary count
+    toward the next sample — but they are {e not} heap events: they
+    never extend the run past the last real event, never perturb
+    {!events_processed}, and a run with samplers executes the exact
     same event schedule as one without (the observability plane rides
-    along without disturbing what it observes).  One sampler per
-    engine; a second call replaces the first.  Raises
-    [Invalid_argument] on a zero interval. *)
+    along without disturbing what it observes).  An engine holds any
+    number of samplers; those sharing a boundary fire in registration
+    order.  Raises [Invalid_argument] on a zero interval. *)
 
 val set_daemon : t -> Pid.t -> unit
 (** Mark a process as expected to be blocked at end of run (server

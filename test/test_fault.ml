@@ -7,6 +7,7 @@ open Eden_sim
 open Eden_kernel
 module Plan = Eden_fault.Plan
 module Controller = Eden_fault.Controller
+module Chaos = Eden_fault.Chaos
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -129,36 +130,8 @@ let test_plan_random_wellformed () =
 (* ------------------------------------------------------------------ *)
 (* Chaos runs *)
 
-let chaos_type =
-  let open Api in
-  Typemgr.make_exn ~name:"chaos_counter"
-    [
-      Typemgr.operation "config" (fun ctx args ->
-          let* v = arg1 args in
-          let* sites =
-            Value.to_list v
-            |> Result.map_error (fun m -> Error.Bad_arguments m)
-          in
-          let sites =
-            List.filter_map (fun s -> Result.to_option (Value.to_int s)) sites
-          in
-          let* () = ctx.set_reliability (Reliability.Mirrored sites) in
-          let* () = ctx.checkpoint () in
-          reply_unit);
-      Typemgr.operation "incr" (fun ctx args ->
-          let* () = no_args args in
-          let* n = int_arg (ctx.get_repr ()) in
-          let* () = ctx.set_repr (Value.Int (n + 1)) in
-          (match ctx.checkpoint () with Ok () | Error _ -> ());
-          reply [ Value.Int (n + 1) ]);
-      Typemgr.operation "get" ~mutates:false (fun ctx args ->
-          let* () = no_args args in
-          reply [ ctx.get_repr () ]);
-    ]
-
 let nodes = 4
 let requests = 220
-let horizon = Time.s 2
 
 type chaos_result = {
   ok : int;
@@ -177,147 +150,42 @@ type chaos_result = {
   dir_fallbacks : int;  (* attempts that fell back to broadcast *)
 }
 
-let sum_counter snap name =
+(* A per-node counter summed over every node label. *)
+let sum_counter (snap : Eden_obs.Snapshot.t) name =
   List.fold_left
-    (fun acc i ->
-      match
-        Eden_obs.Snapshot.find snap
-          ~labels:[ ("node", string_of_int i) ]
-          name
-      with
-      | Some (Eden_obs.Metrics.Counter n) -> acc + n
+    (fun acc (m : Eden_obs.Metrics.sample) ->
+      match m.s_value with
+      | Eden_obs.Metrics.Counter n
+        when m.s_name = name && List.mem_assoc "node" m.s_labels ->
+        acc + n
       | _ -> acc)
-    0
-    (List.init nodes Fun.id)
+    0 snap.metrics
 
-(* A seeded chaos run: 4 nodes on 2 bridged segments, one Mirrored
-   counter per node, a paced request stream from node 0 under the
-   seed's random plan, then a post-heal probe of every counter.  With
-   [frozen_reads] a frozen counter lives on node 3 with replicas on
-   1 and 2, and every other stream iteration reads it from node 0 —
+(* A seeded chaos run ({!Chaos}): 4 nodes on 2 bridged segments, one
+   Mirrored counter per node, a paced request stream from node 0 under
+   the seed's random plan, then a post-heal probe of every counter.
+   With [frozen_reads] a frozen counter lives on node 3 with replicas
+   on 1 and 2, and every other stream iteration reads it from node 0 —
    the shape the speculation hot path (cloning + hedging) acts on. *)
-let run_chaos ?plan ?options ?coalesce ?(frozen_reads = false) ~seed () =
-  let configs =
-    List.init nodes (fun i ->
-        Eden_hw.Machine.default_config ~name:(Printf.sprintf "node%d" i))
+let run_chaos ?plan ?(options = Cluster.default_options) ?coalesce
+    ?(frozen_reads = false) ~seed () =
+  let b =
+    Chaos.run
+      { Chaos.default with nodes; seed; requests; plan; options; coalesce;
+        frozen_reads }
   in
-  let cl =
-    Cluster.create ~seed:(Int64.of_int seed) ~segments:[ 2; 2 ] ?options
-      ?coalesce ~configs ()
-  in
-  Cluster.register_type cl chaos_type;
-  let eng = Cluster.engine cl in
-  let plan =
-    match plan with
-    | Some p -> p
-    | None ->
-      Plan.random ~seed:(Int64.of_int seed) ~nodes ~segments:2 ~horizon
-  in
-  let caps = ref [||] in
-  let frozen = ref None in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        caps :=
-          Array.init nodes (fun i ->
-              let cap =
-                match
-                  Cluster.create_object cl ~node:i ~type_name:"chaos_counter"
-                    (Value.Int 0)
-                with
-                | Ok c -> c
-                | Error e -> failwith ("create: " ^ Error.to_string e)
-              in
-              match
-                Cluster.invoke cl ~from:i cap ~op:"config"
-                  [
-                    Value.List
-                      [ Value.Int i; Value.Int ((i + 1) mod nodes) ];
-                  ]
-              with
-              | Ok _ -> cap
-              | Error e -> failwith ("config: " ^ Error.to_string e));
-        if frozen_reads then begin
-          let cap =
-            match
-              Cluster.create_object cl ~node:(nodes - 1)
-                ~type_name:"chaos_counter" (Value.Int 7)
-            with
-            | Ok c -> c
-            | Error e -> failwith ("create frozen: " ^ Error.to_string e)
-          in
-          (match Cluster.freeze cl cap with
-          | Ok () -> ()
-          | Error e -> failwith ("freeze: " ^ Error.to_string e));
-          List.iter
-            (fun n ->
-              match Cluster.replicate cl cap ~to_node:n with
-              | Ok () -> ()
-              | Error e -> failwith ("replicate: " ^ Error.to_string e))
-            [ 1; 2 ];
-          frozen := Some cap
-        end)
-  in
-  Cluster.run cl;
-  let ctl = Controller.arm ~seed:(Int64.of_int seed) cl plan in
-  let ok = ref 0 and failed = ref 0 in
-  let probes_ok = ref true in
-  let reads = ref [] in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        let last = ref (Engine.now eng) in
-        for r = 0 to requests - 1 do
-          Engine.delay (Time.ms 10);
-          (* The virtual clock never runs backwards, faults or not. *)
-          if Time.(Engine.now eng < !last) then
-            failwith "virtual clock went backwards";
-          last := Engine.now eng;
-          (match
-             Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
-               ~retry:Api.default_retry
-               (!caps).(r mod nodes)
-               ~op:"incr" []
-           with
-          | Ok _ -> incr ok
-          | Error _ -> incr failed);
-          match !frozen with
-          | Some cap when r mod 2 = 0 -> (
-            match
-              Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
-                ~retry:Api.default_retry cap ~op:"get" []
-            with
-            | Ok [ Value.Int v ] -> reads := Some v :: !reads
-            | Ok _ | Error _ -> reads := None :: !reads)
-          | _ -> ()
-        done;
-        (* Post-heal: every fault has healed (the stream outlives the
-           plan horizon), so every Mirrored counter must answer. *)
-        Array.iter
-          (fun cap ->
-            match
-              Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
-                ~retry:Api.default_retry cap ~op:"get" []
-            with
-            | Ok [ Value.Int _ ] -> ()
-            | Ok _ | Error _ -> probes_ok := false)
-          !caps)
-  in
-  Cluster.run cl;
-  let tl = Cluster.timeline cl in
-  let violations =
-    Eden_obs.Check.run ~complete:(Cluster.journal_dropped cl = 0) tl
-    |> List.map (Format.asprintf "%a" Eden_obs.Check.pp_violation)
-  in
-  let snap = Cluster.metrics_snapshot cl in
+  let snap = Cluster.metrics_snapshot b.Chaos.cluster in
   {
-    ok = !ok;
-    failed = !failed;
-    probes_ok = !probes_ok;
-    injected = Controller.injected ctl;
+    ok = b.ok;
+    failed = b.failed;
+    probes_ok = b.probes_ok;
+    injected = b.injected;
     snapshot = Eden_obs.Snapshot.to_string snap;
-    trace = Eden_obs.Timeline.to_text tl;
-    trace_nodes = List.length (Eden_obs.Timeline.nodes tl);
-    violations;
-    reads = List.rev !reads;
+    trace = Eden_obs.Timeline.to_text b.timeline;
+    trace_nodes = List.length (Eden_obs.Timeline.nodes b.timeline);
+    violations =
+      List.map (Format.asprintf "%a" Eden_obs.Check.pp_violation) b.violations;
+    reads = b.reads;
     fanouts = sum_counter snap "eden.clone.fanouts";
     cancels = sum_counter snap "eden.clone.cancels";
     dedup_dropped = sum_counter snap "eden.dedup.dropped";
@@ -533,7 +401,7 @@ let test_cancel_cross_origin_isolation () =
     Cluster.create ~seed:42L ~segments:[ 2; 2 ] ~options:spec_options ~configs
       ()
   in
-  Cluster.register_type cl chaos_type;
+  Cluster.register_type cl (Chaos.counter_type ~async:false);
   let must what = function
     | Ok v -> v
     | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e)
@@ -623,7 +491,7 @@ let dir_cluster ?(options = dir_cold_options) ~seed () =
     Cluster.create ~seed:(Int64.of_int seed) ~segments:[ 2; 2 ] ~options
       ~configs ()
   in
-  Cluster.register_type cl chaos_type;
+  Cluster.register_type cl (Chaos.counter_type ~async:false);
   cl
 
 (* Object names are kernel-assigned, so tests that need a name whose
@@ -857,6 +725,85 @@ let test_controller_links_and_disarm () =
   Alcotest.(check (list (pair int int)))
     "disarm leaves no links" [] (Controller.broken_links ctl)
 
+(* ------------------------------------------------------------------ *)
+(* Same-seed gates: the [edenctl run] bundle *)
+
+(* The reconfiguration gate's plan: crash/link faults mixed with a
+   spare joining and a member decommissioning. *)
+let reconfig_plan =
+  match
+    Plan.of_string
+      "at 100ms  crash 3\n\
+       at 400ms  restart 3 rebuild\n\
+       at 200ms  drop 0->2 p=0.3\n\
+       at 700ms  heal-link 0->2\n\
+       at 500ms  join 5\n\
+       at 1200ms decommission 2\n"
+  with
+  | Ok p -> p
+  | Error e -> failwith e
+
+(* [edenctl run --nodes 5 --seed 11] plus each row's flags; like the
+   CLI, speculation brings the frozen reads it acts on. *)
+let gate ?(spares = 0) ?plan ?(replica_cache = false) ?(coalesce = false)
+    ?(clone = false) ?(hedge = false) ?(directory = false) () =
+  {
+    Chaos.default with
+    nodes = 5;
+    seed = 11;
+    spares;
+    plan;
+    options =
+      {
+        Cluster.default_options with
+        use_replica_cache = replica_cache;
+        use_directory = directory;
+        speculate =
+          { Api.no_speculation with Api.sp_clone = clone; sp_hedge = hedge };
+      };
+    coalesce =
+      (if coalesce then Some Eden_kernel.Transport.default_coalesce else None);
+    frozen_reads = clone || hedge;
+  }
+
+let gate_rows =
+  [
+    ("base", gate ());
+    ("--replica-cache --coalesce", gate ~replica_cache:true ~coalesce:true ());
+    ("--clone --hedge", gate ~clone:true ~hedge:true ());
+    ("--directory", gate ~directory:true ());
+    ("--directory --clone --hedge",
+      gate ~directory:true ~clone:true ~hedge:true ());
+    ("--spares 1 --directory, reconfig plan",
+      gate ~spares:1 ~directory:true ~plan:reconfig_plan ());
+  ]
+
+(* Two same-seed runs write byte-identical bundles; the journals
+   retain every event, so all invariants — the completeness-gated ones
+   included — are checked, and none is violated. *)
+let test_gate config () =
+  let a = Chaos.run config and b = Chaos.run config in
+  check_int "journal dropped nothing" 0 a.dropped;
+  Alcotest.(check (list string))
+    "no invariant violations" []
+    (List.map (Format.asprintf "%a" Eden_obs.Check.pp_violation) a.violations);
+  check_bool "every counter answers post-heal" true a.probes_ok;
+  List.iter2
+    (fun (name, x) (name', y) ->
+      Alcotest.(check string) "same file" name name';
+      check_bool (name ^ " is byte-identical") true (String.equal x y))
+    (Chaos.files a) (Chaos.files b)
+
+(* Regression: the engine kept one sampler, so arming the health plane
+   (which every bundle run does) replaced the hedge estimator's tick;
+   the latency threshold never formed and no hedge was ever sent. *)
+let test_hedge_with_health () =
+  let b = Chaos.run (gate ~hedge:true ()) in
+  check_bool "health plane armed" true
+    (Cluster.health b.cluster <> None);
+  check_bool "hedges sent" true
+    (sum_counter (Cluster.metrics_snapshot b.cluster) "eden.hedge.sent" > 0)
+
 let () =
   Alcotest.run "eden_fault"
     [
@@ -910,4 +857,11 @@ let () =
           Alcotest.test_case "balance pass publishes new homes" `Quick
             test_dir_balance_publishes;
         ] );
+      ( "gates",
+        Alcotest.test_case "hedging survives the health plane" `Quick
+          test_hedge_with_health
+        :: List.map
+             (fun (name, config) ->
+               Alcotest.test_case name `Quick (test_gate config))
+             gate_rows );
     ]

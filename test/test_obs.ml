@@ -466,7 +466,7 @@ let test_snapshot_rejects_garbage () =
   check_bool "wrong schema" true
     (Result.is_error (Snapshot.of_string "{\"schema\":\"nope\"}"))
 
-(* Regression: [edenctl chaos --metrics-out results/run1/snap.json]
+(* Regression: [edenctl synth --metrics-out results/run1/snap.json]
    used to die with Sys_error when the directory tree did not exist.
    write_file must create the missing parents. *)
 let test_snapshot_write_file_creates_parents () =
@@ -491,6 +491,32 @@ let test_snapshot_write_file_creates_parents () =
       | Error e -> Alcotest.failf "written file unreadable: %s" e);
   (* Writing to an existing directory still works (idempotent mkdir). *)
   check_bool "cleaned up" true (not (Sys.file_exists path))
+
+(* Every artifact writer (the [edenctl run] bundle, --metrics-out, the
+   bench summaries) goes through [write_string]: it writes the bytes
+   verbatim into a directory that does not exist yet, replaces an
+   existing file whole, and leaves no temporary file behind. *)
+let test_write_string_missing_dir () =
+  let base = Filename.temp_file "eden_obs" "" in
+  Sys.remove base;
+  let dir = Filename.concat base "bundle/run1" in
+  let path = Filename.concat dir "timeline.txt" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove path with Sys_error _ -> ());
+      List.iter
+        (fun d -> try Sys.rmdir d with Sys_error _ -> ())
+        [ dir; Filename.dirname dir; base ])
+    (fun () ->
+      Snapshot.write_string ~path "first\nno trailing newline";
+      Alcotest.(check string) "bytes verbatim" "first\nno trailing newline"
+        (read ());
+      Snapshot.write_string ~path "second";
+      Alcotest.(check string) "replaced whole" "second" (read ());
+      Alcotest.(check (list string))
+        "no temporary left" [ "timeline.txt" ]
+        (Array.to_list (Sys.readdir dir)))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel instrumentation *)
@@ -1288,6 +1314,8 @@ let () =
             test_snapshot_rejects_garbage;
           Alcotest.test_case "write_file creates parents" `Quick
             test_snapshot_write_file_creates_parents;
+          Alcotest.test_case "write_string into a missing directory" `Quick
+            test_write_string_missing_dir;
         ] );
       ( "cluster",
         [

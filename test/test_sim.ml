@@ -600,49 +600,29 @@ let test_resource_invalid () =
       ignore (Resource.create eng ~servers:0 ~name:"x"))
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
+(* Samplers *)
 
-let test_trace_disabled_by_default () =
-  let tr = Trace.create () in
-  Trace.emit tr Time.zero Trace.Kern "hidden";
-  check_int "nothing recorded" 0 (Trace.total tr)
-
-let test_trace_roundtrip () =
-  let tr = Trace.create ~keep:2 () in
-  Trace.enable tr;
-  let seen = ref 0 in
-  let sub = Trace.subscribe tr (fun _ -> incr seen) in
-  Trace.emit tr (t_ms 1) Trace.Net "one";
-  Trace.emit tr (t_ms 2) Trace.Net "two";
-  Trace.emit tr (t_ms 3) Trace.Kern "three";
-  check_int "subscriber saw all" 3 !seen;
-  check_int "net count" 2 (Trace.count tr Trace.Net);
-  check_int "kern count" 1 (Trace.count tr Trace.Kern);
-  let tail = Trace.recent tr in
-  Alcotest.(check (list string))
-    "ring keeps last 2" [ "two"; "three" ]
-    (List.map (fun r -> r.Trace.message) tail);
-  (* Unsubscribing stops delivery; a second unsubscribe is a no-op. *)
-  Trace.unsubscribe tr sub;
-  Trace.emit tr (t_ms 4) Trace.Net "four";
-  check_int "unsubscribed: no new deliveries" 3 !seen;
-  Trace.unsubscribe tr sub;
-  check_int "idempotent" 3 !seen
-
-let test_trace_emitf_lazy () =
-  let tr = Trace.create () in
-  (* Disabled: the closure below must not run. *)
-  let evaluated = ref false in
-  Trace.emitf tr Time.zero Trace.Sim "%s"
-    (if false then "" else if !evaluated then "x" else "y");
-  (* The argument expression above ran (strict evaluation), but emitf
-     must at least not record anything. *)
-  check_int "not recorded" 0 (Trace.total tr);
-  Trace.enable tr;
-  Trace.emitf tr Time.zero Trace.Sim "n=%d" 42;
-  Alcotest.(check (list string))
-    "formatted" [ "n=42" ]
-    (List.map (fun r -> r.Trace.message) (Trace.recent tr))
+(* Regression: [every] used to keep a single sampler, so a second
+   registration silently replaced the first (arming the health plane
+   stopped the hedge estimator's tick).  Both must fire, at a shared
+   boundary in registration order, without touching the event count. *)
+let test_two_samplers_fire () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  Engine.every eng ~interval:(t_ms 1) (fun () ->
+      log := ("a", Time.to_ns (Engine.now eng)) :: !log);
+  Engine.every eng ~interval:(t_ms 2) (fun () ->
+      log := ("b", Time.to_ns (Engine.now eng)) :: !log);
+  Engine.schedule eng ~after:(t_ms 4) (fun () -> ());
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "both samplers, registration order on ties"
+    [
+      ("a", 1_000_000); ("a", 2_000_000); ("b", 2_000_000); ("a", 3_000_000);
+      ("a", 4_000_000); ("b", 4_000_000);
+    ]
+    (List.rev !log);
+  check_int "samplers are not events" 1 (Engine.events_processed eng)
 
 (* ------------------------------------------------------------------ *)
 (* Engine stress / properties *)
@@ -845,11 +825,6 @@ let () =
           Alcotest.test_case "wait stats" `Quick test_resource_wait_stats;
           Alcotest.test_case "invalid" `Quick test_resource_invalid;
         ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled by default" `Quick
-            test_trace_disabled_by_default;
-          Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
-          Alcotest.test_case "emitf" `Quick test_trace_emitf_lazy;
-        ] );
+      ( "sampler",
+        [ Alcotest.test_case "two samplers both fire" `Quick test_two_samplers_fire ] );
     ]
