@@ -11,7 +11,7 @@ help:
 	@echo "make test         - run every alcotest suite (same-seed bundle gates included)"
 	@echo "make test-props   - seeded property tests only (codecs, plans, laws)"
 	@echo "make check        - build + tests + metrics smoke"
-	@echo "make ci           - the full gate: check, gates, bench-check"
+	@echo "make ci           - the full gate: check, gates, determinism, bench-check"
 	@echo "make gates        - E22-E25 smokes, reconfig cmp, props x3 seed offsets"
 	@echo "make bench-check  - each benchmark workload must finish correct"
 	@echo "make bench        - run the full experiment suite (E1..E25, M)"
@@ -46,7 +46,7 @@ check:
 	dune exec bin/edenctl.exe -- metrics-check /tmp/eden_metrics_smoke.json
 	@echo "check: OK"
 
-ci: check gates bench-check
+ci: check gates determinism bench-check
 	@echo "ci: OK"
 
 # The gates that cannot live in `dune runtest`, one command per line:
@@ -106,10 +106,15 @@ smoke:
 	printf 'mk doc d\nappend d hello\nshow d\nquit\n' | \
 	  dune exec bin/edenctl.exe -- edit --nodes 2
 
-# The whole experiment suite must be bit-reproducible.
+# Experiment output must be bit-reproducible.  Besides invocation and
+# location (E1, E9) the list covers checkpointing (E5), delta and
+# async checkpoints (E19), speculation (E22), the directory (E23) and
+# membership (E24); each takes well under a second.
+DETERMINISM = E1 E5 E9 E19 E22 E23 E24
+
 determinism:
-	dune exec bench/main.exe -- E1 E9 > /tmp/eden_bench_a.txt 2>&1
-	dune exec bench/main.exe -- E1 E9 > /tmp/eden_bench_b.txt 2>&1
+	dune exec bench/main.exe -- $(DETERMINISM) > /tmp/eden_bench_a.txt 2>&1
+	dune exec bench/main.exe -- $(DETERMINISM) > /tmp/eden_bench_b.txt 2>&1
 	diff /tmp/eden_bench_a.txt /tmp/eden_bench_b.txt
 	@echo "deterministic: OK"
 

@@ -112,14 +112,16 @@ val create :
     machines ("spare0"..) after the configured ones: powered and on
     the LAN from boot, but outside the membership (and the directory
     ring) until {!join_node} admits them; they share the last network
-    segment.  [segments] sizes must sum to the {e configured} node
-    count, spares excluded.
-    [options] disable individual location mechanisms for ablation
-    studies (experiment E13).  [segments] partitions the nodes over
-    bridged Ethernet segments in id order (e.g. [[3; 2]] puts nodes
-    0-2 on one segment and 3-4 on another, joined by a store-and-
-    forward bridge); the sizes must sum to the node count.  Default:
-    one segment.  [coalesce] enables unicast message coalescing on
+    segment.
+    [options] (default {!default_options}) turns the kernel's optional
+    mechanisms on or off: the three location mechanisms the E13
+    ablation disables one at a time, and the opt-in replica cache,
+    delta checkpoints, speculation, directory and profiling.
+    [segments] partitions the nodes over bridged Ethernet segments in
+    id order (e.g. [[3; 2]] puts nodes 0-2 on one segment and 3-4 on
+    another, joined by a store-and-forward bridge); the sizes must sum
+    to the {e configured} node count, spares excluded.  Default: one
+    segment.  [coalesce] enables unicast message coalescing on
     the kernel transport (default off): small messages to one
     destination batch into a single wire transfer under the given
     budgets (see {!Transport.coalesce}).  [journal_cap] bounds each

@@ -794,6 +794,55 @@ let test_gate config () =
       check_bool (name ^ " is byte-identical") true (String.equal x y))
     (Chaos.files a) (Chaos.files b)
 
+(* Cross-commit identity: the MD5 of every bundle file for two gate
+   rows.  The same-seed gates above only compare two runs of one build;
+   these pins catch drift between builds.  A change that alters
+   simulated behaviour on purpose must re-pin them and say why. *)
+let pinned_digests =
+  [
+    ( "base",
+      [
+        ("summary.txt", "c40d3f52bda3fe9853aaaaec1461aa63");
+        ("plan.txt", "7244cb69408f5a11a029d32fe2c538fd");
+        ("metrics.json", "e88a952b1c756db86f9041d904de31a0");
+        ("timeline.json", "653ecfe3b22fb1774a4280f1f0aea86b");
+        ("timeline.txt", "833505a4635cbda04fd1a03173b0e0ec");
+        ("profile.txt", "3a37fc8a206d4962c08c285db8d5e167");
+        ("profile.json", "521fa2a96c3a7fa83c7f9cdc9a41abcb");
+        ("profile.folded", "513b5e69bd7d20235e85c0ae4e79a866");
+        ("profile-chrome.json", "78a024a5dbb5f9b921f50efcb1c8bc7d");
+        ("health.txt", "e947eddb9e0e960c109132379ea213b3");
+        ("health.json", "2def08b2b0f2aa666b47e8047dc3dd5a");
+        ("top.txt", "810561348cf7a338a99ee089f0bdef3b");
+        ("check.json", "d751713988987e9331980363e24189ce");
+      ] );
+    ( "--directory --clone --hedge",
+      [
+        ("summary.txt", "87394215b2b6a84173305998fe6cfd4a");
+        ("plan.txt", "7244cb69408f5a11a029d32fe2c538fd");
+        ("metrics.json", "c41999b806833d6b999fa04a779bf2f1");
+        ("timeline.json", "06947d675ff6f152cde72cf6d508fcf3");
+        ("timeline.txt", "2bb0a416f5ccf342f591db859e112b19");
+        ("profile.txt", "879dcecb6030ff7a597f2559647e150a");
+        ("profile.json", "9efbc8c3097a09a9628f517fd6df0fc9");
+        ("profile.folded", "72cd00680ab7d288829486102074df5a");
+        ("profile-chrome.json", "f676d1f4a2a3ebde86d893daabb2741e");
+        ("health.txt", "4cef1ed2bdc7a44d35d58a1bfdb15398");
+        ("health.json", "a966681bff190593496a1f717e45aebc");
+        ("top.txt", "2385b7bb14961faa77707ff4880d577e");
+        ("check.json", "d751713988987e9331980363e24189ce");
+      ] );
+  ]
+
+let test_pinned row pins () =
+  let b = Chaos.run (List.assoc row gate_rows) in
+  Alcotest.(check (list (pair string string)))
+    (row ^ ": bundle digests") pins
+    (List.map
+       (fun (name, contents) ->
+         (name, Digest.to_hex (Digest.string contents)))
+       (Chaos.files b))
+
 (* Regression: the engine kept one sampler, so arming the health plane
    (which every bundle run does) replaced the hedge estimator's tick;
    the latency threshold never formed and no hedge was ever sent. *)
@@ -863,5 +912,10 @@ let () =
         :: List.map
              (fun (name, config) ->
                Alcotest.test_case name `Quick (test_gate config))
-             gate_rows );
+             gate_rows
+        @ List.map
+            (fun (row, pins) ->
+              Alcotest.test_case ("pinned digests: " ^ row) `Quick
+                (test_pinned row pins))
+            pinned_digests );
     ]

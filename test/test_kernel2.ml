@@ -628,6 +628,65 @@ let test_cache_cleared_on_crash () =
       check_bool "fresh miss" true
         (cache_counter cl "eden.replica_cache.misses" ~node:1 > misses))
 
+(* ------------------------------------------------------------------ *)
+(* Node ids named by type code *)
+
+(* Both operations take a node id from the caller and hand it to the
+   kernel unchecked; neither mutates, so they run on frozen objects. *)
+let node_arg_type =
+  Typemgr.make_exn ~name:"node_arg"
+    [
+      Typemgr.operation "replicate_to" ~mutates:false (fun ctx args ->
+          let* v = arg1 args in
+          let* n = int_arg v in
+          let* () = ctx.replicate_to n in
+          reply_unit);
+      Typemgr.operation "create_on" ~mutates:false (fun ctx args ->
+          let* v = arg1 args in
+          let* n = int_arg v in
+          let* _ = ctx.create_object ~type_name:"counter2" ~node:n Value.Unit in
+          reply_unit);
+    ]
+
+let pending_requests cl ~node =
+  let snap = Cluster.metrics_snapshot cl in
+  match
+    Snapshot.find snap
+      ~labels:[ ("node", string_of_int node) ]
+      "eden.pending_requests"
+  with
+  | Some (Metrics.Gauge g) -> int_of_float g
+  | _ -> Alcotest.fail "missing gauge eden.pending_requests"
+
+(* An out-of-range id is refused the way [Cluster.replicate] and
+   [ctx.move_to] refuse it, and leaves no reply slot behind. *)
+let test_ctx_replicate_to_no_such_node () =
+  with_cluster (fun cl ->
+      Cluster.register_type cl node_arg_type;
+      let cap =
+        ok_or_fail "create"
+          (Cluster.create_object cl ~node:0 ~type_name:"node_arg" Value.Unit)
+      in
+      ok_or_fail "freeze" (Cluster.freeze cl cap);
+      expect_error "replicate_to 7" (Error.Move_refused "no such node")
+        (Cluster.invoke cl ~from:0 cap ~op:"replicate_to" [ Value.Int 7 ]);
+      expect_error "replicate_to -1" (Error.Move_refused "no such node")
+        (Cluster.invoke cl ~from:0 cap ~op:"replicate_to" [ Value.Int (-1) ]);
+      check_int "no reply slot left behind" 0 (pending_requests cl ~node:0))
+
+let test_ctx_create_object_no_such_node () =
+  with_cluster (fun cl ->
+      Cluster.register_type cl node_arg_type;
+      let cap =
+        ok_or_fail "create"
+          (Cluster.create_object cl ~node:0 ~type_name:"node_arg" Value.Unit)
+      in
+      expect_error "create_object ~node:7" (Error.Bad_arguments "no such node")
+        (Cluster.invoke cl ~from:0 cap ~op:"create_on" [ Value.Int 7 ]);
+      (* An in-range id still creates. *)
+      check_bool "create_object ~node:2" true
+        (Cluster.invoke cl ~from:0 cap ~op:"create_on" [ Value.Int 2 ] = Ok []))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "eden_kernel2"
@@ -670,6 +729,10 @@ let () =
           Alcotest.test_case "population" `Quick
             test_node_object_reflects_population;
           Alcotest.test_case "heartbeat" `Quick test_node_object_heartbeat;
+          Alcotest.test_case "ctx.replicate_to: no such node" `Quick
+            test_ctx_replicate_to_no_such_node;
+          Alcotest.test_case "ctx.create_object: no such node" `Quick
+            test_ctx_create_object_no_such_node;
         ] );
       ( "replica cache",
         [
