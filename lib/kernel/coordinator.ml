@@ -116,7 +116,7 @@ and start_invocation_admitted cl obj spec w =
   in
   let pid =
     Engine.spawn cl.eng
-      ~name:(Printf.sprintf "%s.%s" (Name.to_string obj.ob_name) w.w_op)
+      ~name:(Name.to_string obj.ob_name ^ "." ^ w.w_op)
       (fun () ->
         let self = Engine.self () in
         Fun.protect
@@ -148,6 +148,7 @@ and start_invocation_admitted cl obj spec w =
   obj.ob_proc_pids <- pid :: obj.ob_proc_pids
 
 and finish_invocation cl obj spec self =
+  obj.ob_proc_pids <- drop_pid self obj.ob_proc_pids;
   Hashtbl.remove obj.ob_inflight (Engine.Pid.to_int self);
   Hashtbl.remove cl.c_span_ctx (Engine.Pid.to_int self);
   let running, queue = class_state obj spec.Opclass.class_name in

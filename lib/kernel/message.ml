@@ -151,53 +151,54 @@ let size_bytes m =
   | Dir_nack _ -> name_bytes + 4
   | Epoch_announce { members; _ } -> 8 + (4 * List.length members)
 
-let describe = function
-  | Inv_request { target; op; _ } ->
-    Printf.sprintf "inv_request %s.%s" (Name.to_string target) op
+(* The journal describes every message twice, on send and on receive,
+   so this builds by plain concatenation: [Printf] allocates several
+   times as much. *)
+let describe =
+  let i = string_of_int and nm = Name.to_string in
+  function
+  | Inv_request { target; op; _ } -> "inv_request " ^ nm target ^ "." ^ op
   (* Deliberately omits [inv_id.seq]: journals intern these strings,
      and a per-invocation sequence number would make every reply
      distinct.  Traces correlate request and reply through event
      parent ids, not the description. *)
-  | Inv_reply { inv_id; _ } -> Printf.sprintf "inv_reply n%d" inv_id.origin
-  | Inv_nack { target; _ } -> "inv_nack " ^ Name.to_string target
-  | Hint_update { target; at_node } ->
-    Printf.sprintf "hint %s@%d" (Name.to_string target) at_node
-  | Locate_request { target; _ } -> "locate? " ^ Name.to_string target
+  | Inv_reply { inv_id; _ } -> "inv_reply n" ^ i inv_id.origin
+  | Inv_nack { target; _ } -> "inv_nack " ^ nm target
+  | Hint_update { target; at_node } -> "hint " ^ nm target ^ "@" ^ i at_node
+  | Locate_request { target; _ } -> "locate? " ^ nm target
   | Locate_reply { target; at_node; _ } ->
-    Printf.sprintf "locate! %s@%d" (Name.to_string target) at_node
+    "locate! " ^ nm target ^ "@" ^ i at_node
   | Create_request { type_name; _ } -> "create " ^ type_name
   | Create_reply _ -> "create_reply"
-  | Move_transfer { target; _ } -> "move " ^ Name.to_string target
+  | Move_transfer { target; _ } -> "move " ^ nm target
   | Move_ack _ -> "move_ack"
   | Ckpt_write { target; version; _ } ->
-    Printf.sprintf "ckpt_write %s v%d" (Name.to_string target) version
+    "ckpt_write " ^ nm target ^ " v" ^ i version
   | Ckpt_delta { target; base_version; version; delta; _ } ->
-    Printf.sprintf "ckpt_delta %s v%d->v%d (%s)" (Name.to_string target)
-      base_version version (Delta.describe delta)
+    "ckpt_delta " ^ nm target ^ " v" ^ i base_version ^ "->v" ^ i version
+    ^ " (" ^ Delta.describe delta ^ ")"
   | Ckpt_ack _ -> "ckpt_ack"
-  | Ckpt_delete { target } -> "ckpt_delete " ^ Name.to_string target
+  | Ckpt_delete { target } -> "ckpt_delete " ^ nm target
   | Ckpt_mark { target; passive; version } ->
-    Printf.sprintf "ckpt_mark %s passive=%b v%d" (Name.to_string target)
-      passive version
-  | Replica_install { target; _ } -> "replica " ^ Name.to_string target
+    "ckpt_mark " ^ nm target ^ " passive=" ^ string_of_bool passive ^ " v"
+    ^ i version
+  | Replica_install { target; _ } -> "replica " ^ nm target
   | Replica_ack _ -> "replica_ack"
-  | Destroy_notice { target } -> "destroy " ^ Name.to_string target
-  | Cache_fetch { target; _ } -> "cache? " ^ Name.to_string target
+  | Destroy_notice { target } -> "destroy " ^ nm target
+  | Cache_fetch { target; _ } -> "cache? " ^ nm target
   | Cache_data { target; payload; _ } ->
-    Printf.sprintf "cache! %s %s" (Name.to_string target)
-      (if payload = None then "miss" else "hit")
-  | Cache_invalidate { target } -> "cache_inval " ^ Name.to_string target
+    "cache! " ^ nm target ^ if payload = None then " miss" else " hit"
+  | Cache_invalidate { target } -> "cache_inval " ^ nm target
   (* Like [Inv_reply], omits the sequence number so journal interning
      keeps one string per target rather than one per cancellation. *)
-  | Cancel { target; _ } -> "cancel " ^ Name.to_string target
+  | Cancel { target; _ } -> "cancel " ^ nm target
   (* Omits the lease stamp (virtual-time ns would defeat journal
      interning) and, like the replies above, any sequence number. *)
-  | Dir_put { target; home; _ } ->
-    Printf.sprintf "dir_put %s@%d" (Name.to_string target) home
-  | Dir_get { target; _ } -> "dir? " ^ Name.to_string target
-  | Dir_nack { target; _ } -> "dir_nack " ^ Name.to_string target
+  | Dir_put { target; home; _ } -> "dir_put " ^ nm target ^ "@" ^ i home
+  | Dir_get { target; _ } -> "dir? " ^ nm target
+  | Dir_nack { target; _ } -> "dir_nack " ^ nm target
   (* One string per epoch: the member list would re-spell the epoch. *)
-  | Epoch_announce { epoch; _ } -> Printf.sprintf "epoch e%d" epoch
+  | Epoch_announce { epoch; _ } -> "epoch e" ^ i epoch
 
 (* ------------------------------------------------------------------ *)
 (* Wire codec.

@@ -549,13 +549,33 @@ let spawn_daemon cl ~name f =
   Engine.set_daemon cl.eng pid;
   pid
 
-let spawn_kproc cl node ~name f =
-  let pid = spawn_daemon cl ~name f in
-  node.nd_kprocs <- pid :: node.nd_kprocs;
-  if List.length node.nd_kprocs > 256 then
-    node.nd_kprocs <-
-      List.filter (fun p -> Engine.alive cl.eng p) node.nd_kprocs;
+(* The pid lists kept for killing ([nd_kprocs], [ob_proc_pids]) hold
+   only live processes, newest first: a process takes itself out when
+   it finishes, which keeps the others in order, so a later kill walks
+   the same live processes in the same order as a list that kept them
+   all. *)
+let rec drop_pid pid = function
+  | [] -> []
+  | p :: rest -> if Engine.Pid.equal p pid then rest else p :: drop_pid pid rest
+
+(* A daemon listed by [add] that calls [leave] with its own pid when it
+   returns or is killed. *)
+let spawn_listed cl ~name ~add ~leave f =
+  let pid =
+    spawn_daemon cl ~name (fun () ->
+        match f () with
+        | () -> leave (Engine.self ())
+        | exception e ->
+          leave (Engine.self ());
+          raise e)
+  in
+  add pid;
   pid
+
+let spawn_kproc cl node ~name f =
+  spawn_listed cl ~name f
+    ~add:(fun pid -> node.nd_kprocs <- pid :: node.nd_kprocs)
+    ~leave:(fun pid -> node.nd_kprocs <- drop_pid pid node.nd_kprocs)
 
 let jrecord cl node ?ctx kind =
   Journal.record node.nd_journal ~at:(Engine.now cl.eng) ?ctx kind
@@ -765,8 +785,11 @@ let make_ctx cl obj =
     spawn_subprocess =
       (fun f ->
         let name = Name.to_string obj.ob_name ^ ".sub" in
-        let pid = spawn_daemon cl ~name f in
-        obj.ob_proc_pids <- pid :: obj.ob_proc_pids);
+        ignore
+          (spawn_listed cl ~name f
+             ~add:(fun pid -> obj.ob_proc_pids <- pid :: obj.ob_proc_pids)
+             ~leave:(fun pid ->
+               obj.ob_proc_pids <- drop_pid pid obj.ob_proc_pids)));
   }
 
 (* Object construction, shared by every way an object comes to a node. *)

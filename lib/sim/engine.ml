@@ -108,6 +108,13 @@ let resume_unit eng p (k : (unit, unit) continuation) =
   reenter eng p (fun () ->
       if p.p_killed then discontinue k Killed else continue k ())
 
+(* A finished process leaves the table: [alive] and [kill] then treat
+   its pid like an unknown one, which they already answer the same way,
+   and the table holds only live processes. *)
+let finish eng p =
+  p.p_state <- Done;
+  Hashtbl.remove eng.procs (Pid.to_int p.p_pid)
+
 let exec_body eng p body =
   eng.running <- Some p.p_pid;
   p.p_state <- Run;
@@ -115,11 +122,11 @@ let exec_body eng p body =
     {
       retc =
         (fun () ->
-          p.p_state <- Done;
+          finish eng p;
           eng.running <- None);
       exnc =
         (fun e ->
-          p.p_state <- Done;
+          finish eng p;
           eng.running <- None;
           match e with Killed -> () | e -> raise e);
       effc =
@@ -161,7 +168,7 @@ let spawn eng ?(name = "proc") ?at body =
   eng.n_spawned <- eng.n_spawned + 1;
   let start = match at with None -> eng.clock | Some t -> Time.max t eng.clock in
   push_event eng start (fun () ->
-      if p.p_killed then p.p_state <- Done else exec_body eng p body);
+      if p.p_killed then finish eng p else exec_body eng p body);
   pid
 
 let find_proc eng pid = Hashtbl.find_opt eng.procs (Pid.to_int pid)
@@ -196,10 +203,7 @@ let kill eng pid =
         push_event eng eng.clock (fun () ->
             reenter eng p (fun () -> discontinue k Killed))))
 
-let alive eng pid =
-  match find_proc eng pid with
-  | None -> false
-  | Some p -> ( match p.p_state with Done -> false | Sched | Run | Blocked _ -> true)
+let alive eng pid = Hashtbl.mem eng.procs (Pid.to_int pid)
 
 let not_in_process what =
   invalid_arg (Printf.sprintf "Engine.%s: called outside a process" what)
@@ -298,29 +302,30 @@ let run ?until eng =
     s.smp_fn ()
   in
   let rec loop () =
-    match Pqueue.peek eng.heap with
-    | None -> if handle_idle eng then loop ()
-    | Some ev when not (within_limit ev.ev_time) -> (
-      match until with
-      | None -> assert false
-      | Some l -> (
-        (* Catch up boundaries inside the limit before parking at it. *)
-        match sampler_due l with
+    if Pqueue.is_empty eng.heap then (if handle_idle eng then loop ())
+    else
+      let t = (Pqueue.peek_exn eng.heap).ev_time in
+      if not (within_limit t) then
+        match until with
+        | None -> assert false
+        | Some l -> (
+          (* Catch up boundaries inside the limit before parking at it. *)
+          match sampler_due l with
+          | Some s ->
+            fire s;
+            loop ()
+          | None -> eng.clock <- l)
+      else
+        match sampler_due t with
         | Some s ->
           fire s;
           loop ()
-        | None -> eng.clock <- l))
-    | Some ev -> (
-      match sampler_due ev.ev_time with
-      | Some s ->
-        fire s;
-        loop ()
-      | None ->
-        let ev = Pqueue.pop_exn eng.heap in
-        eng.clock <- ev.ev_time;
-        eng.n_events <- eng.n_events + 1;
-        ev.ev_run ();
-        loop ())
+        | None ->
+          let ev = Pqueue.pop_exn eng.heap in
+          eng.clock <- ev.ev_time;
+          eng.n_events <- eng.n_events + 1;
+          ev.ev_run ();
+          loop ()
   in
   loop ()
 
@@ -330,11 +335,7 @@ let processes_spawned eng = eng.n_spawned
 let blocked_processes eng =
   List.map (fun p -> p.p_pid) (blocked_procs eng)
 
-let live_processes eng =
-  Hashtbl.fold
-    (fun _ p acc ->
-      match p.p_state with Done -> acc | Sched | Run | Blocked _ -> acc + 1)
-    eng.procs 0
+let live_processes eng = Hashtbl.length eng.procs
 
 let runnable_processes eng =
   Hashtbl.fold

@@ -61,6 +61,8 @@ val kill : t -> Pid.t -> unit
     {!Killed} is raised immediately. *)
 
 val alive : t -> Pid.t -> bool
+(** [false] for a finished or unknown process.  The engine forgets a
+    process once it finishes, so it holds only live ones. *)
 
 val schedule : t -> ?after:Eden_util.Time.t -> (unit -> unit) -> unit
 (** [schedule t f] runs the plain (non-blocking) callback [f] at

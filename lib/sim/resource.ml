@@ -39,15 +39,22 @@ let release r =
   r.nbusy <- r.nbusy - 1;
   Semaphore.release r.sem
 
+let finish_job r =
+  release r;
+  r.completed <- r.completed + 1
+
+(* A job killed mid-service still frees its server and counts as
+   completed; matching on the delay does that without the closures
+   [Fun.protect] would allocate on every job. *)
 let use r service =
   acquire r;
-  Fun.protect
-    ~finally:(fun () ->
-      release r;
-      r.completed <- r.completed + 1)
-    (fun () ->
-      Engine.delay service;
-      r.total_busy <- Time.add r.total_busy service)
+  match Engine.delay service with
+  | () ->
+    r.total_busy <- Time.add r.total_busy service;
+    finish_job r
+  | exception e ->
+    finish_job r;
+    raise e
 
 let busy r = r.nbusy
 let queue_length r = Semaphore.waiters r.sem

@@ -63,35 +63,31 @@ let push h v =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let peek h = if h.size = 0 then None else Some h.data.(0).value
-
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0).value in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    Some top
-  end
+let peek_exn h =
+  if h.size = 0 then invalid_arg "Pqueue.peek_exn: empty heap";
+  h.data.(0).value
 
 let pop_exn h =
-  match pop h with
-  | Some v -> v
-  | None -> invalid_arg "Pqueue.pop_exn: empty heap"
+  if h.size = 0 then invalid_arg "Pqueue.pop_exn: empty heap";
+  let top = h.data.(0).value in
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.data.(0) <- h.data.(h.size);
+    sift_down h 0
+  end;
+  top
+
+let pop h = if h.size = 0 then None else Some (pop_exn h)
 
 let clear h =
   h.size <- 0;
   h.data <- [||]
 
 let rec drain h f =
-  match pop h with
-  | None -> ()
-  | Some v ->
-    f v;
+  if h.size > 0 then begin
+    f (pop_exn h);
     drain h f
+  end
 
 let to_list_unordered h =
   let rec collect i acc =

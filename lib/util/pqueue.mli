@@ -12,14 +12,16 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 
-val peek : 'a t -> 'a option
-(** Smallest element, if any, without removing it. *)
+val peek_exn : 'a t -> 'a
+(** Smallest element, without removing it.  Raises [Invalid_argument]
+    on an empty heap. *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
 val pop_exn : 'a t -> 'a
-(** Raises [Invalid_argument] on an empty heap. *)
+(** Like {!pop}, without allocating the option.  Raises
+    [Invalid_argument] on an empty heap. *)
 
 val clear : 'a t -> unit
 

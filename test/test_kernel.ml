@@ -726,6 +726,48 @@ let test_cluster_deterministic () =
   in
   check_bool "identical runs" true (fingerprint () = fingerprint ())
 
+(* ------------------------------------------------------------------ *)
+(* Allocation gate *)
+
+(* The simulator's own cost on the invocation fast path: minor words
+   allocated per remote [work] call, over 2,000 calls from node 0 to an
+   object on node 1, after a first call has located it.  Allocation is
+   deterministic for a given build, so the figure is exact and the
+   bound sits about 15% above it. *)
+let words_per_invocation_bound = 1_860.0
+
+let test_words_per_remote_invocation () =
+  let tm = Eden_workload.Synthetic.worker_type in
+  let calls = 2_000 in
+  let words =
+    with_cluster ~n:2 ~types:[ tm ] (fun cl ->
+        let cap =
+          ok_or_fail "create"
+            (Cluster.create_object cl ~node:1 ~type_name:(Typemgr.name tm)
+               Value.Unit)
+        in
+        let payload = String.make 256 'x' in
+        let call () =
+          match
+            Cluster.invoke cl ~from:0 cap ~op:"work"
+              [ Value.Str payload; Value.Int 50 ]
+          with
+          | Ok [ Value.Str p ] when String.equal p payload -> ()
+          | Ok _ -> Alcotest.fail "work: unexpected reply"
+          | Error e -> Alcotest.failf "work: %s" (Error.to_string e)
+        in
+        call ();
+        let before = Gc.minor_words () in
+        for _ = 1 to calls do
+          call ()
+        done;
+        (Gc.minor_words () -. before) /. float_of_int calls)
+  in
+  Printf.printf "minor words per remote invocation: %.1f\n" words;
+  if words > words_per_invocation_bound then
+    Alcotest.failf "%.1f minor words per remote invocation, bound %.0f" words
+      words_per_invocation_bound
+
 let () =
   Alcotest.run "eden_kernel"
     [
@@ -804,4 +846,9 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "identical runs" `Quick test_cluster_deterministic ]
       );
+      ( "allocation",
+        [
+          Alcotest.test_case "words per remote invocation" `Quick
+            test_words_per_remote_invocation;
+        ] );
     ]

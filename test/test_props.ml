@@ -252,6 +252,63 @@ let name_roundtrip =
       | Some n' -> Error (Printf.sprintf "decoded to %s" (Name.to_string n'))
       | None -> Error "failed to parse")
 
+(* The journals intern these strings and the pinned bundle digests
+   hash them, so the allocation-lean renderings must keep the bytes of
+   the [Format] / [Printf] ones they replaced, kept here as the
+   reference. *)
+let name_matches_pp =
+  Prop.case ~name:"Name.to_string n = asprintf \"%a\" Name.pp n"
+    ~base:0xA110_000BL ~gen:gen_name ~show:Name.to_string (fun n ->
+      let reference = Format.asprintf "%a" Name.pp n in
+      if String.equal (Name.to_string n) reference then Ok ()
+      else Error (Printf.sprintf "reference renders %S" reference))
+
+let printf_describe : Message.t -> string = function
+  | Inv_request { target; op; _ } ->
+    Printf.sprintf "inv_request %s.%s" (Name.to_string target) op
+  | Inv_reply { inv_id; _ } -> Printf.sprintf "inv_reply n%d" inv_id.origin
+  | Inv_nack { target; _ } -> "inv_nack " ^ Name.to_string target
+  | Hint_update { target; at_node } ->
+    Printf.sprintf "hint %s@%d" (Name.to_string target) at_node
+  | Locate_request { target; _ } -> "locate? " ^ Name.to_string target
+  | Locate_reply { target; at_node; _ } ->
+    Printf.sprintf "locate! %s@%d" (Name.to_string target) at_node
+  | Create_request { type_name; _ } -> "create " ^ type_name
+  | Create_reply _ -> "create_reply"
+  | Move_transfer { target; _ } -> "move " ^ Name.to_string target
+  | Move_ack _ -> "move_ack"
+  | Ckpt_write { target; version; _ } ->
+    Printf.sprintf "ckpt_write %s v%d" (Name.to_string target) version
+  | Ckpt_delta { target; base_version; version; delta; _ } ->
+    Printf.sprintf "ckpt_delta %s v%d->v%d (%s)" (Name.to_string target)
+      base_version version (Delta.describe delta)
+  | Ckpt_ack _ -> "ckpt_ack"
+  | Ckpt_delete { target } -> "ckpt_delete " ^ Name.to_string target
+  | Ckpt_mark { target; passive; version } ->
+    Printf.sprintf "ckpt_mark %s passive=%b v%d" (Name.to_string target)
+      passive version
+  | Replica_install { target; _ } -> "replica " ^ Name.to_string target
+  | Replica_ack _ -> "replica_ack"
+  | Destroy_notice { target } -> "destroy " ^ Name.to_string target
+  | Cache_fetch { target; _ } -> "cache? " ^ Name.to_string target
+  | Cache_data { target; payload; _ } ->
+    Printf.sprintf "cache! %s %s" (Name.to_string target)
+      (if payload = None then "miss" else "hit")
+  | Cache_invalidate { target } -> "cache_inval " ^ Name.to_string target
+  | Cancel { target; _ } -> "cancel " ^ Name.to_string target
+  | Dir_put { target; home; _ } ->
+    Printf.sprintf "dir_put %s@%d" (Name.to_string target) home
+  | Dir_get { target; _ } -> "dir? " ^ Name.to_string target
+  | Dir_nack { target; _ } -> "dir_nack " ^ Name.to_string target
+  | Epoch_announce { epoch; _ } -> Printf.sprintf "epoch e%d" epoch
+
+let describe_matches_printf =
+  Prop.case ~name:"Message.describe m = Printf reference" ~base:0xA110_000CL
+    ~gen:gen_message ~show:Message.describe (fun m ->
+      let reference = printf_describe m in
+      if String.equal (Message.describe m) reference then Ok ()
+      else Error (Printf.sprintf "reference renders %S" reference))
+
 let cap_roundtrip =
   Prop.case ~name:"Capability.decode (encode c) = c" ~base:0xA110_0002L
     ~gen:gen_cap ~show:Capability.encode (fun c ->
@@ -884,12 +941,13 @@ let ring_minimal_remap =
 let () =
   Alcotest.run "eden_props"
     [
-      ("name", [ name_roundtrip ]);
+      ("name", [ name_roundtrip; name_matches_pp ]);
       ("capability", [ cap_roundtrip ]);
       ( "message",
         [
           message_roundtrip;
           message_rejects_truncation;
+          describe_matches_printf;
           Alcotest.test_case "decode bounds value nesting" `Quick
             test_decode_bounds_nesting;
           Alcotest.test_case "cancel codec survives hostile input" `Quick

@@ -205,6 +205,50 @@ let test_kill_then_wake_is_noop () =
   Engine.run eng;
   check_bool "not resumed" false !resumed
 
+let test_finished_processes_forgotten () =
+  (* 50,000 processes finish three ways: they return, they are killed
+     while blocked, or they are killed before they start.  The engine
+     must keep none of them, so its footprint stays that of an idle
+     engine however many processes it has run.  Runs go in rounds of
+     100 so the event heap itself stays small. *)
+  let eng = Engine.create () in
+  let spawn_one i =
+    match i mod 3 with
+    | 0 -> Engine.spawn eng (fun () -> Engine.delay (t_ns 1))
+    | 1 ->
+      let p = Engine.spawn eng (fun () -> ignore (Engine.suspend ignore)) in
+      Engine.schedule eng ~after:(t_ns 1) (fun () -> Engine.kill eng p);
+      p
+    | _ ->
+      let p = Engine.spawn eng ~at:(t_ns 1) (fun () -> ()) in
+      Engine.kill eng p;
+      p
+  in
+  (* One pid of each kind from the first round. *)
+  let finished = Array.sub (Array.init 100 spawn_one) 0 3 in
+  Engine.run eng;
+  for _ = 2 to 500 do
+    for i = 0 to 99 do
+      ignore (spawn_one i)
+    done;
+    Engine.run eng
+  done;
+  check_int "spawned" 50_000 (Engine.processes_spawned eng);
+  check_int "none live" 0 (Engine.live_processes eng);
+  let words = Obj.reachable_words (Obj.repr eng) in
+  if words > 10_000 then
+    Alcotest.failf "engine retains %d words after 50,000 processes" words;
+  Array.iter
+    (fun pid ->
+      check_bool "finished is not alive" false (Engine.alive eng pid);
+      let events = Engine.events_processed eng in
+      Engine.kill eng pid;
+      Engine.run eng;
+      check_int "kill of a finished pid schedules nothing" events
+        (Engine.events_processed eng))
+    finished;
+  check_int "still none live" 0 (Engine.live_processes eng)
+
 (* ------------------------------------------------------------------ *)
 (* Deadlock detection and daemons *)
 
@@ -770,6 +814,8 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_kill_idempotent;
           Alcotest.test_case "kill then wake" `Quick
             test_kill_then_wake_is_noop;
+          Alcotest.test_case "finished processes forgotten" `Quick
+            test_finished_processes_forgotten;
         ] );
       ( "stall",
         [

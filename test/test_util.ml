@@ -129,21 +129,41 @@ let test_pqueue_fifo_ties () =
   Alcotest.(check (list string))
     "fifo among equals"
     [ "z"; "a"; "b"; "c" ]
-    (List.rev !labels)
+    (List.rev !labels);
+  (* The event loop's path: [peek_exn] then [pop_exn], with pushes of
+     the same key between pops still queueing behind earlier ones. *)
+  List.iter (Pqueue.push h) [ (2, "p"); (2, "q") ];
+  Alcotest.(check string) "peek_exn head" "p" (snd (Pqueue.peek_exn h));
+  Alcotest.(check string) "pop_exn head" "p" (snd (Pqueue.pop_exn h));
+  Pqueue.push h (2, "r");
+  let rest = List.init 2 (fun _ -> snd (Pqueue.pop_exn h)) in
+  Alcotest.(check (list string)) "late tie queues last" [ "q"; "r" ] rest
 
 let test_pqueue_basics () =
   let h = Pqueue.create ~cmp:Int.compare in
   check_bool "empty" true (Pqueue.is_empty h);
-  Alcotest.(check (option int)) "peek empty" None (Pqueue.peek h);
   Alcotest.(check (option int)) "pop empty" None (Pqueue.pop h);
   Pqueue.push h 9;
-  Alcotest.(check (option int)) "peek" (Some 9) (Pqueue.peek h);
+  check_int "peek_exn" 9 (Pqueue.peek_exn h);
   check_int "length" 1 (Pqueue.length h);
   Pqueue.clear h;
   check_bool "cleared" true (Pqueue.is_empty h);
   Alcotest.check_raises "pop_exn empty"
     (Invalid_argument "Pqueue.pop_exn: empty heap") (fun () ->
-      ignore (Pqueue.pop_exn h))
+      ignore (Pqueue.pop_exn h));
+  Alcotest.check_raises "peek_exn empty"
+    (Invalid_argument "Pqueue.peek_exn: empty heap") (fun () ->
+      ignore (Pqueue.peek_exn h));
+  (* Emptied by pops rather than [clear]: the backing array is still
+     allocated, and the size check alone must guard it. *)
+  Pqueue.push h 3;
+  check_int "pop_exn" 3 (Pqueue.pop_exn h);
+  Alcotest.check_raises "pop_exn drained"
+    (Invalid_argument "Pqueue.pop_exn: empty heap") (fun () ->
+      ignore (Pqueue.pop_exn h));
+  Alcotest.check_raises "peek_exn drained"
+    (Invalid_argument "Pqueue.peek_exn: empty heap") (fun () ->
+      ignore (Pqueue.peek_exn h))
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains sorted" ~count:200
