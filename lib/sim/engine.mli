@@ -10,7 +10,23 @@
 
     Blocking synchronisation primitives (conditions, semaphores,
     mailboxes, resources) are built outside this module from {!suspend}
-    / {!wake}. *)
+    / {!wake}.
+
+    {b How a resume is parked.}  A process gets, once at spawn, the
+    closure that every one of its start or resume events carries.  A
+    blocking operation parks the process's continuation in the process
+    itself and pushes that same closure: {!delay} at [now + d], {!wake}
+    (and {!kill} of a blocked process) at [now].  A {!handle} names one
+    suspension by its number, so waking it moves no continuation and a
+    stale handle is told apart from a later suspension.  The effect
+    handler is one per engine, since only one process runs at a time,
+    and the event heap keeps its keys and callbacks in flat arrays.  So
+    beyond the continuation the OCaml runtime creates, a delay resume
+    allocates only the option that parks it, a suspend that option and
+    its handle, and a {!schedule} callback nothing.  A timed {!suspend}
+    adds one closure, the timeout check on its own handle.  Once an
+    event has run, nothing in the engine keeps it, or what it captured,
+    reachable. *)
 
 module Pid : sig
   type t

@@ -113,67 +113,112 @@ let test_splitmix_shuffle_permutes () =
 (* ------------------------------------------------------------------ *)
 (* Pqueue *)
 
-let test_pqueue_order () =
-  let h = Pqueue.create ~cmp:Int.compare in
-  List.iter (Pqueue.push h) [ 5; 1; 4; 1; 3 ];
+(* Drain [h] into a list of (key, value) pairs, in pop order. *)
+let drain_all h =
   let out = ref [] in
-  Pqueue.drain h (fun v -> out := v :: !out);
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] (List.rev !out)
+  Pqueue.drain h (fun k v -> out := (k, v) :: !out);
+  List.rev !out
+
+let test_pqueue_order () =
+  let h = Pqueue.create ~dummy:0 in
+  List.iter (fun k -> Pqueue.push h k (k * 10)) [ 5; 1; 4; 1; 3 ];
+  Alcotest.(check (list (pair int int)))
+    "sorted by key"
+    [ (1, 10); (1, 10); (3, 30); (4, 40); (5, 50) ]
+    (drain_all h)
 
 let test_pqueue_fifo_ties () =
   (* Equal keys must pop in insertion order. *)
-  let h = Pqueue.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) in
-  List.iter (Pqueue.push h) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
-  let labels = ref [] in
-  Pqueue.drain h (fun (_, l) -> labels := l :: !labels);
+  let h = Pqueue.create ~dummy:"" in
+  List.iter
+    (fun (k, l) -> Pqueue.push h k l)
+    [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
   Alcotest.(check (list string))
     "fifo among equals"
     [ "z"; "a"; "b"; "c" ]
-    (List.rev !labels);
-  (* The event loop's path: [peek_exn] then [pop_exn], with pushes of
-     the same key between pops still queueing behind earlier ones. *)
-  List.iter (Pqueue.push h) [ (2, "p"); (2, "q") ];
-  Alcotest.(check string) "peek_exn head" "p" (snd (Pqueue.peek_exn h));
-  Alcotest.(check string) "pop_exn head" "p" (snd (Pqueue.pop_exn h));
-  Pqueue.push h (2, "r");
-  let rest = List.init 2 (fun _ -> snd (Pqueue.pop_exn h)) in
+    (List.map snd (drain_all h));
+  (* The event loop's path: [peek_key_exn] then [pop_exn], with pushes
+     of the same key between pops still queueing behind earlier ones. *)
+  Pqueue.push h 2 "p";
+  Pqueue.push h 2 "q";
+  check_int "peek_key_exn head" 2 (Pqueue.peek_key_exn h);
+  Alcotest.(check string) "peek_exn head" "p" (Pqueue.peek_exn h);
+  Alcotest.(check string) "pop_exn head" "p" (Pqueue.pop_exn h);
+  Pqueue.push h 2 "r";
+  let rest = List.init 2 (fun _ -> Pqueue.pop_exn h) in
   Alcotest.(check (list string)) "late tie queues last" [ "q"; "r" ] rest
 
 let test_pqueue_basics () =
-  let h = Pqueue.create ~cmp:Int.compare in
-  check_bool "empty" true (Pqueue.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Pqueue.pop h);
-  Pqueue.push h 9;
+  let h = Pqueue.create ~dummy:0 in
+  let check_empty what =
+    check_bool (what ^ ": empty") true (Pqueue.is_empty h);
+    Alcotest.check_raises (what ^ ": pop_exn")
+      (Invalid_argument "Pqueue.pop_exn: empty heap") (fun () ->
+        ignore (Pqueue.pop_exn h));
+    Alcotest.check_raises (what ^ ": peek_exn")
+      (Invalid_argument "Pqueue.peek_exn: empty heap") (fun () ->
+        ignore (Pqueue.peek_exn h));
+    Alcotest.check_raises (what ^ ": peek_key_exn")
+      (Invalid_argument "Pqueue.peek_key_exn: empty heap") (fun () ->
+        ignore (Pqueue.peek_key_exn h))
+  in
+  check_empty "fresh";
+  Pqueue.push h 7 9;
   check_int "peek_exn" 9 (Pqueue.peek_exn h);
+  check_int "peek_key_exn" 7 (Pqueue.peek_key_exn h);
   check_int "length" 1 (Pqueue.length h);
-  Pqueue.clear h;
-  check_bool "cleared" true (Pqueue.is_empty h);
-  Alcotest.check_raises "pop_exn empty"
-    (Invalid_argument "Pqueue.pop_exn: empty heap") (fun () ->
-      ignore (Pqueue.pop_exn h));
-  Alcotest.check_raises "peek_exn empty"
-    (Invalid_argument "Pqueue.peek_exn: empty heap") (fun () ->
-      ignore (Pqueue.peek_exn h));
-  (* Emptied by pops rather than [clear]: the backing array is still
-     allocated, and the size check alone must guard it. *)
-  Pqueue.push h 3;
-  check_int "pop_exn" 3 (Pqueue.pop_exn h);
-  Alcotest.check_raises "pop_exn drained"
-    (Invalid_argument "Pqueue.pop_exn: empty heap") (fun () ->
-      ignore (Pqueue.pop_exn h));
-  Alcotest.check_raises "peek_exn drained"
-    (Invalid_argument "Pqueue.peek_exn: empty heap") (fun () ->
-      ignore (Pqueue.peek_exn h))
+  (* Emptied by pops: the backing arrays are still allocated, and the
+     size check alone must guard them. *)
+  check_int "pop_exn" 9 (Pqueue.pop_exn h);
+  check_empty "drained";
+  (* Growing past the initial capacity keeps every element. *)
+  for i = 1 to 100 do
+    Pqueue.push h (100 - i) i
+  done;
+  check_int "length after growth" 100 (Pqueue.length h);
+  Alcotest.(check (list int))
+    "drain order after growth"
+    (List.init 100 (fun i -> 100 - i))
+    (List.map snd (drain_all h));
+  check_empty "drained by drain"
+
+(* Popping must not keep the popped value reachable from the heap's
+   slots: the engine's heap holds closures that capture continuations
+   and whatever data they reference. *)
+let test_pqueue_releases_popped () =
+  let n = 100 in
+  let h = Pqueue.create ~dummy:[||] in
+  let tracked = Weak.create n in
+  let fill () =
+    for i = 0 to n - 1 do
+      let v = Array.make 8 i in
+      Weak.set tracked i (Some v);
+      Pqueue.push h (i mod 7) v
+    done
+  in
+  (Sys.opaque_identity fill) ();
+  for _ = 1 to n / 2 do
+    ignore (Pqueue.pop_exn h)
+  done;
+  Pqueue.drain h (fun _ _ -> ());
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check tracked i then incr alive
+  done;
+  check_int "popped values still reachable" 0 !alive;
+  check_bool "heap kept alive" true (Pqueue.is_empty (Sys.opaque_identity h))
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains sorted" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = Pqueue.create ~cmp:Int.compare in
-      List.iter (Pqueue.push h) xs;
-      let out = ref [] in
-      Pqueue.drain h (fun v -> out := v :: !out);
-      List.rev !out = List.sort Int.compare xs)
+      let h = Pqueue.create ~dummy:0 in
+      List.iteri (fun i k -> Pqueue.push h k i) xs;
+      let out = drain_all h in
+      List.map fst out = List.sort Int.compare xs
+      (* FIFO among equal keys: values are insertion indexes. *)
+      && List.sort compare out = out)
 
 (* ------------------------------------------------------------------ *)
 (* Fifo *)
@@ -454,6 +499,8 @@ let () =
           Alcotest.test_case "order" `Quick test_pqueue_order;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "basics" `Quick test_pqueue_basics;
+          Alcotest.test_case "releases popped" `Quick
+            test_pqueue_releases_popped;
           qt prop_pqueue_sorts;
         ] );
       ( "fifo",
