@@ -84,8 +84,6 @@ let attach_metrics ~id () =
   | None -> ()
   | Some cl ->
     let snap = Cluster.metrics_snapshot cl in
-    (* Spans omitted: experiment logs stay one greppable line each. *)
-    let snap = { snap with Eden_obs.Snapshot.spans = [] } in
     Printf.printf "METRICS %s %s\n" id
       (Eden_obs.Snapshot.to_string ~compact:true snap)
 

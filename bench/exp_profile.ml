@@ -1,7 +1,7 @@
 (* E25 — critical-path profiler: attribution under injected bottlenecks.
 
-   The profiler's claim is not that it times requests — the span
-   machinery already does — but that it *names the bottleneck*: walk
+   The profiler's claim is not that it times requests — the latency
+   histogram already does — but that it *names the bottleneck*: walk
    each request's causal trace, attribute every nanosecond of its
    end-to-end latency to a category, and the dominant category points
    at the subsystem to fix.  This experiment injects three bottlenecks
@@ -28,7 +28,8 @@
      same-seed runs must render byte-identical reports (asserted on
      part A).
    - overhead: profiling adds journal kinds on the invocation path and
-     five counters at span finish.  Re-run E20's paired-ratio
+     the online attribution fold over every journalled event, with its
+     ten counters.  Re-run E20's paired-ratio
      methodology (compacted heap, off/on interleaved, median of
      per-pair ratios) on E18's locality-free invocation stream with
      [use_profiling] toggled.  Acceptance: < 5% host time.

@@ -45,8 +45,8 @@ let metrics_out_t =
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:
-          "Write the final metrics snapshot (counters, gauges, histograms \
-           and invocation spans) to $(docv) as JSON.")
+          "Write the final metrics snapshot (counters, gauges and \
+           histograms) to $(docv) as JSON.")
 
 let fault_plan_t =
   Arg.(
@@ -1009,9 +1009,8 @@ let run_metrics_check file =
     in
     (match missing with
     | [] ->
-      Printf.printf "metrics-check: OK (%d samples, %d spans, t=%s)\n"
+      Printf.printf "metrics-check: OK (%d samples, t=%s)\n"
         (List.length snap.Eden_obs.Snapshot.metrics)
-        (List.length snap.Eden_obs.Snapshot.spans)
         (Time.to_string snap.Eden_obs.Snapshot.at)
     | _ ->
       List.iter

@@ -325,9 +325,7 @@ let register_collectors cl =
           float_of_int (Transport.reassembly_pending node.nd_tp));
       c "eden.journal.events" (fun () -> Journal.recorded node.nd_journal);
       c "eden.journal.dropped" (fun () -> Journal.dropped node.nd_journal))
-    cl.nodes;
-  Metrics.register_counter_fn reg "eden.span.late_events" (fun () ->
-      Span.late_events cl.c_spans)
+    cl.nodes
 
 (* Wire-level verdicts (drops, duplicates, delays, coalesced batches)
    are journalled at the sending node.  They root their own trace: the
@@ -365,6 +363,22 @@ let install_wire_hooks cl =
          | Transport.Wv_hold { src; dst; by; items } ->
            each items (fun ctx ->
                record src ?ctx (Journal.Net_hold { dst; by }))))
+
+(* The online attribution: each finished request adds its critical-path
+   breakdown to one counter per category, plus its end-to-end total. *)
+let profile_fold reg =
+  let parts =
+    Array.of_list
+      (List.map
+         (fun c -> Metrics.counter reg (Health.profile_counter c))
+         Critical.categories)
+  in
+  let total = Metrics.counter reg Health.profile_total in
+  Critical.fold (fun bd ->
+      for i = 0 to Array.length parts - 1 do
+        Metrics.add parts.(i) bd.Critical.bd_parts.(i)
+      done;
+      Metrics.add total bd.Critical.bd_total_ns)
 
 (* The health plane is strictly opt-in: without [~health] no sampler
    is installed and the hot paths skip the sketch feed, so existing
@@ -464,28 +478,16 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
       n_inv = 0;
       n_remote = 0;
       c_metrics = reg;
-      c_spans = Span.create ();
       c_lat =
         Metrics.histogram reg ~buckets:latency_buckets
           "eden.invocation_latency_s";
       c_nm = Array.init n_nodes (make_node_metrics reg);
-      c_span_ctx = Hashtbl.create 64;
       c_health = None;
       c_hedge =
         (if options.speculate.Api.sp_hedge then Some (Invoke.hedge_state ())
          else None);
       c_profile =
-        (if options.use_profiling then
-           Some
-             {
-               pc_service = Metrics.counter reg "eden.profile.service_ns";
-               pc_queue = Metrics.counter reg "eden.profile.queue_ns";
-               pc_wire = Metrics.counter reg "eden.profile.wire_ns";
-               pc_directory =
-                 Metrics.counter reg "eden.profile.directory_ns";
-               pc_total = Metrics.counter reg "eden.profile.total_ns";
-             }
-         else None);
+        (if options.use_profiling then Some (profile_fold reg) else None);
       (* The shard map is a pure function of the member set: every
          node computes the same ring, no coordination.  Spares are
          excluded until a join bumps the epoch. *)
@@ -775,10 +777,9 @@ let active_objects cl i = Name.Table.length (node_of cl i).nd_active
 let stats_invocations cl = cl.n_inv
 let stats_remote_invocations cl = cl.n_remote
 let metrics cl = cl.c_metrics
-let spans cl = cl.c_spans
-
+let spans cl = cl.c_metrics
 let metrics_snapshot cl =
-  Eden_obs.Snapshot.take ~at:(Engine.now cl.eng) ~spans:cl.c_spans cl.c_metrics
+  Eden_obs.Snapshot.take ~at:(Engine.now cl.eng) cl.c_metrics
 
 let journal cl i = (node_of cl i).nd_journal
 let journals cl =

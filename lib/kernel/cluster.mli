@@ -81,10 +81,13 @@ type options = {
           [Work_start] (queue residency), [Net_flush] (coalescer
           hold), [Net_hold] (injected sender-side hold),
           [Drain_stall] (parked behind a draining object) — and
-          publishes per-category latency counters
-          ([eden.profile.{service,queue,wire,directory,total}_ns],
-          fed from finished spans) for
-          {!Eden_obs.Health.Share_of_latency} watchdogs.  Off, the
+          feeds every journalled event to {!Eden_obs.Critical}'s
+          online fold, which publishes the per-category latency
+          counters ([eden.profile.<category>_ns] for all nine
+          categories, plus [eden.profile.total_ns]) at each
+          [Inv_end] for {!Eden_obs.Health.Share_of_latency}
+          watchdogs.  With every event retained they equal the
+          offline breakdowns of {!timeline} exactly.  Off, the
           journal stream, cost profile and metric set are exactly
           those of earlier releases; {!Eden_obs.Critical} still
           attributes exactly, just with coarser categories. *)
@@ -370,23 +373,27 @@ val stats_remote_invocations : t -> int
 
 (** {1 Observability}
 
-    Every cluster owns a metrics registry and a span collector.  The
-    kernel instruments the invocation path (per-node counters for
-    invocations, hint-cache hits and misses, locate broadcasts, nacks
-    and checkpoints, plus an end-to-end latency histogram), and
-    registers sampled collectors over the network, engine and hardware
-    counters.  Each invocation records an {!Eden_obs.Span} with its
-    locate/transport/queue/dispatch/execute/reply phase breakdown;
-    nested [ctx.invoke] calls carry parent links. *)
+    Every cluster owns a metrics registry.  The kernel instruments the
+    invocation path (per-node counters for invocations, hint-cache
+    hits and misses, locate broadcasts, nacks and checkpoints, plus an
+    end-to-end latency histogram observed from each invocation's own
+    [Inv_begin]), and registers sampled collectors over the network,
+    engine and hardware counters.  Everything else about an
+    invocation is derived from its journal events (below): its
+    latency attribution ({!Eden_obs.Critical}) and, for a nested
+    [ctx.invoke] or [ctx.invoke_async], the caller's trace id on its
+    [Inv_begin]. *)
 
 val metrics : t -> Eden_obs.Metrics.t
 (** The registry; callers may add their own instruments. *)
 
 val spans : t -> Eden_obs.Span.collector
+(** The registry, for {!Eden_obs.Span.started}: invocations begun.
+    Kept only for the benchmark, which reads it; the next benchmark
+    change deletes both. *)
 
 val metrics_snapshot : t -> Eden_obs.Snapshot.t
-(** Sample every instrument and the retained spans at the current
-    virtual time. *)
+(** Sample every instrument at the current virtual time. *)
 
 (** {2 Event journals and causal traces}
 

@@ -59,7 +59,6 @@ let deliver_reply ?ctx cl obj route result =
   deliver_reply_at ?ctx cl (home cl obj) ~frozen:obj.ob_frozen route result
 
 let fail_work cl obj w error =
-  span_enter cl w Span.Reply;
   deliver_reply ?ctx:w.w_ctx cl obj w.w_route (Error error)
 
 (* -------------------------------------------------------------------- *)
@@ -127,14 +126,7 @@ and start_invocation_admitted cl obj spec w =
                and the reply extends the chain through the mark. *)
             if cl.opts.use_profiling then
               mark_work cl node w (Journal.Work_start { op = w.w_op });
-            Hashtbl.replace obj.ob_inflight
-              (Engine.Pid.to_int self)
-              w;
-            (match w.w_span with
-            | Some sp ->
-              Span.enter sp Span.Execute ~at:(Engine.now cl.eng);
-              Hashtbl.replace cl.c_span_ctx (Engine.Pid.to_int self) sp
-            | None -> ());
+            Hashtbl.replace obj.ob_inflight (Engine.Pid.to_int self) w;
             let result =
               try op.Typemgr.op_handler (Lazy.force obj.ob_ctx) w.w_args with
               | Engine.Killed as e -> raise e
@@ -142,7 +134,6 @@ and start_invocation_admitted cl obj spec w =
               | exn -> Error (Error.User_error (Printexc.to_string exn))
             in
             Hashtbl.remove obj.ob_inflight (Engine.Pid.to_int self);
-            span_enter cl w Span.Reply;
             deliver_reply ?ctx:w.w_ctx cl obj w.w_route result))
   in
   obj.ob_proc_pids <- pid :: obj.ob_proc_pids
@@ -150,7 +141,6 @@ and start_invocation_admitted cl obj spec w =
 and finish_invocation cl obj spec self =
   obj.ob_proc_pids <- drop_pid self obj.ob_proc_pids;
   Hashtbl.remove obj.ob_inflight (Engine.Pid.to_int self);
-  Hashtbl.remove cl.c_span_ctx (Engine.Pid.to_int self);
   let running, queue = class_state obj spec.Opclass.class_name in
   decr running;
   obj.ob_running_total <- obj.ob_running_total - 1;
@@ -165,7 +155,6 @@ and finish_invocation cl obj spec self =
 (* Validation and class admission for one incoming work item. *)
 let admit cl obj w =
   let node = home cl obj in
-  span_enter cl w Span.Dispatch;
   Metrics.incr (nm cl node).m_dispatch;
   consume node (costs node).Costs.invoke_dispatch_cpu;
   match obj.ob_status with
@@ -196,7 +185,6 @@ let enqueue_work cl obj w =
   if obj.ob_status = Dead then fail_work cl obj w Error.Object_crashed
   else begin
     cl.n_inv <- cl.n_inv + 1;
-    span_enter cl w Span.Queue;
     let ok = Mailbox.try_send obj.ob_queue w in
     assert ok
   end

@@ -101,7 +101,7 @@ let absorb_reply ?ctx cl node ~from_node cap r frozen_hint =
    and the serving side's idempotence table drops whichever copy
    arrives second. *)
 let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
-    ~span cap ~op args =
+    cap ~op args =
   let inv_id = new_request_id node in
   let name = Capability.name cap in
   let request ~to_site =
@@ -118,7 +118,6 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
            waking its own activation at every site would multiply the
            object. *)
         may_activate = may_activate && to_site = dst;
-        span;
       }
   in
   (* Each copy of the request pays its own marshalling. *)
@@ -129,13 +128,6 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
   in
   cl.n_remote <- cl.n_remote + 1;
   Metrics.incr (nm cl node).m_remote;
-  (match span with
-  | Some sp ->
-    Span.note_remote sp;
-    (* Transport covers marshalling on both ends, MAC contention and
-       forwarding hops; it ends when the target enqueues the work. *)
-    Span.enter sp Span.Transport ~at:(Engine.now cl.eng)
-  | None -> ());
   let t0 = Engine.now cl.eng in
   let finish ~from_node outcome =
     match outcome with
@@ -228,7 +220,7 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
       (Option.map fst outcome)
   end
 
-let dispatch_local_and_wait ?ctx cl obj ~deadline ~span cap ~op args =
+let dispatch_local_and_wait ?ctx cl obj ~deadline cap ~op args =
   let pr = Promise.create cl.eng in
   Coordinator.enqueue_work cl obj
     {
@@ -236,14 +228,13 @@ let dispatch_local_and_wait ?ctx cl obj ~deadline ~span cap ~op args =
       w_args = args;
       w_presented = Capability.rights cap;
       w_route = Reply_local pr;
-      w_span = span;
       w_ctx = ctx;
     };
   match Promise.await ?timeout:(remaining cl.eng deadline) pr with
   | Some r -> r
   | None -> Error Error.Timeout
 
-let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
+let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?caller cap ~op args =
   let node = node_of cl from in
   if not node.nd_up then Error Error.Node_down
   else begin
@@ -251,24 +242,18 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
     let tname = Name.to_string name in
     Metrics.incr (nm cl node).m_inv;
     (* Feed the origin node's hot-object sketch; the rendered name is
-       shared with the span and the journal event below, so the health
-       plane adds no allocation of its own here. *)
+       shared with the journal event below, so the health plane adds
+       no allocation of its own here. *)
     (match cl.c_health with
     | Some hp -> Topk.add hp.hp_topk.(from) tname
     | None -> ());
-    let parent =
-      match parent with Some _ as p -> p | None -> current_span cl
-    in
-    let sp =
-      Span.start cl.c_spans ?parent ~op ~target:tname ~origin:from
-        ~at:(Engine.now cl.eng) ()
-    in
-    let span = Some sp in
     (* The invocation's root journal event: every send, retry and
-       downstream handler event hangs off this trace id. *)
+       downstream handler event hangs off this trace id, and the
+       latency histogram measures from it. *)
+    let began = Engine.now cl.eng in
     let ictx =
       Tracectx.root
-        (jrecord cl node (Journal.Inv_begin { op; target = tname }))
+        (jrecord cl node (Journal.Inv_begin { op; target = tname; caller }))
     in
     consume node (costs node).Costs.invoke_request_cpu;
     (* Journalled at the moment an attempt abandons the directory for
@@ -281,10 +266,8 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
     in
     let rec attempt ~deadline ~nack_budget ~use_dir =
       let dispatch obj =
-        dispatch_local_and_wait ~ctx:ictx cl obj ~deadline ~span cap ~op args
+        dispatch_local_and_wait ~ctx:ictx cl obj ~deadline cap ~op args
       in
-      (* A nack retry re-opens the Locate phase. *)
-      Span.enter sp Span.Locate ~at:(Engine.now cl.eng);
       consume node (costs node).Costs.locate_lookup_cpu;
       (* Local fast paths: active object, replica, or authoritative
          passive snapshot on this very node. *)
@@ -410,7 +393,7 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
               in
               match
                 send_request_and_wait ~ctx:ictx cl node ~dst ~clones ~deadline
-                  ~may_activate ~span cap ~op args
+                  ~may_activate cap ~op args
               with
               | `Result r -> r
               | `Nacked ->
@@ -460,21 +443,7 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
       match r with Ok _ -> "ok" | Error e -> Error.to_string e
     in
     ignore (jrecord cl node ~ctx:ictx (Journal.Inv_end { op; outcome }));
-    Span.finish sp ~outcome ~at:(Engine.now cl.eng);
-    Metrics.observe_time cl.c_lat (Span.duration sp);
-    (* Online profile feed: fold the finished span's phase times into
-       the cluster-wide category counters the latency-share watchdogs
-       read.  Coarser than the journal walk (a span cannot split wire
-       from coalesce) but available every tick. *)
-    (match cl.c_profile with
-    | None -> ()
-    | Some pc ->
-      let ns p = Time.to_ns (Span.phase_time sp p) in
-      Metrics.add pc.pc_directory (ns Span.Locate);
-      Metrics.add pc.pc_wire (ns Span.Transport + ns Span.Reply);
-      Metrics.add pc.pc_queue (ns Span.Queue + ns Span.Dispatch);
-      Metrics.add pc.pc_service (ns Span.Execute);
-      Metrics.add pc.pc_total (Time.to_ns (Span.duration sp)));
+    Metrics.observe_time cl.c_lat (Time.diff (Engine.now cl.eng) began);
     r
   end
 
@@ -487,12 +456,12 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
 let serve_request ?ctx cl node msg =
   match msg with
   | Message.Inv_request
-      { inv_id; target; op; args; presented; reply_to; hops; may_activate;
-        span } -> (
+      { inv_id; target; op; args; presented; reply_to; hops; may_activate }
+    -> (
     let route = Reply_remote { requester = reply_to; inv_id } in
     let w =
       { w_op = op; w_args = args; w_presented = presented; w_route = route;
-        w_span = span; w_ctx = ctx }
+        w_ctx = ctx }
     in
     let nack () =
       send_msg ?ctx cl node ~dst:reply_to
@@ -558,7 +527,6 @@ let serve_request ?ctx cl node msg =
                    reply_to;
                    hops = hops + 1;
                    may_activate;
-                   span;
                  });
             (* Repair the requester's knowledge of the new location. *)
             if reply_to <> node.nd_id then

@@ -12,7 +12,6 @@ type t =
       reply_to : int;
       hops : int;
       may_activate : bool;
-      span : Eden_obs.Span.t option;
     }
   | Inv_reply of {
       inv_id : request_id;
@@ -204,9 +203,7 @@ let describe =
 (* Wire codec.
 
    A simple self-delimiting text format: integers are decimal followed
-   by ';', strings are length-prefixed, variants carry a small tag.
-   [span] is simulator-side metadata, not wire data, so [encode] omits
-   it and [decode] always yields [span = None]. *)
+   by ';', strings are length-prefixed, variants carry a small tag. *)
 
 exception Decode of string
 
@@ -493,8 +490,8 @@ let encode ?ctx m =
   | None -> ());
   (match m with
   | Inv_request
-      { inv_id; target; op; args; presented; reply_to; hops; may_activate;
-        span = _ } ->
+      { inv_id; target; op; args; presented; reply_to; hops; may_activate }
+    ->
     w_int b 0;
     w_req b inv_id;
     w_name b target;
@@ -671,8 +668,7 @@ let r_message r =
     let hops = r_int r in
     let may_activate = r_bool r in
     Inv_request
-      { inv_id; target; op; args; presented; reply_to; hops; may_activate;
-        span = None }
+      { inv_id; target; op; args; presented; reply_to; hops; may_activate }
   | 1 ->
     let inv_id = r_req r in
     let result = r_result r in

@@ -24,10 +24,6 @@ type t =
               broadcast window, so the receiving checksite may
               reincarnate from its snapshot even if it never saw a
               passivation notice (e.g. after a node power-off) *)
-      span : Eden_obs.Span.t option;
-          (** observability metadata riding along in the simulator's
-              shared address space; does not contribute to
-              {!size_bytes} *)
     }
   | Inv_reply of {
       inv_id : request_id;
@@ -190,18 +186,15 @@ val describe : t -> string
 (** Short human-readable tag for tracing. *)
 
 val encode : ?ctx:Eden_obs.Tracectx.t -> t -> string
-(** Marshal to a self-delimiting textual wire form.  The [span] field
-    of an [Inv_request] is simulator-side metadata and is omitted.
-    [ctx], when given, is written as an envelope prefix ahead of the
-    message tag; frames without it are unchanged from the previous
-    wire format. *)
+(** Marshal to a self-delimiting textual wire form.  [ctx], when
+    given, is written as an envelope prefix ahead of the message tag;
+    frames without it are unchanged from the previous wire format. *)
 
 val decode : string -> (t, string) result
-(** Inverse of {!encode} up to [span] (always [None] after decoding)
-    and the trace context (accepted and discarded — use
-    {!decode_traced} to keep it).  Rejects malformed input, unknown
-    tags, invalid rights bits and trailing bytes with a description of
-    the first error.  Total even on hostile input: values nested
+(** Inverse of {!encode} up to the trace context (accepted and
+    discarded — use {!decode_traced} to keep it).  Rejects malformed
+    input, unknown tags, invalid rights bits and trailing bytes with a
+    description of the first error.  Total even on hostile input: values nested
     deeper than 256 levels are rejected as malformed rather than
     overflowing the stack (no message the kernel builds comes near
     that bound). *)

@@ -6,7 +6,7 @@ open Eden_util
 open Eden_sim
 open Eden_hw
 module Metrics = Eden_obs.Metrics
-module Span = Eden_obs.Span
+module Critical = Eden_obs.Critical
 module Journal = Eden_obs.Journal
 module Tracectx = Eden_obs.Tracectx
 module Health = Eden_obs.Health
@@ -28,7 +28,6 @@ type work = {
   w_args : Value.t list;
   w_presented : Rights.t;
   w_route : reply_route;
-  w_span : Span.t option;
   mutable w_ctx : Tracectx.t option;
       (* the trace context the request arrived with, so the reply (and
          anything else this work causes) extends the same causal chain.
@@ -301,18 +300,6 @@ type hedge_state = {
   mutable hs_prev_over : int;
 }
 
-(* Cluster-level critical-path counters (profiling only): per-category
-   nanoseconds from finished request spans, mapped phase-by-phase so
-   [Health.Share_of_latency] watchdogs can fire online, without
-   assembling a timeline. *)
-type profile_counters = {
-  pc_service : Metrics.counter;
-  pc_queue : Metrics.counter;
-  pc_wire : Metrics.counter;
-  pc_directory : Metrics.counter;
-  pc_total : Metrics.counter;
-}
-
 type t = {
   eng : Engine.t;
   c_lan : Transport.net;
@@ -326,15 +313,14 @@ type t = {
   mutable n_inv : int;
   mutable n_remote : int;
   c_metrics : Metrics.t;
-  c_spans : Span.collector;
   c_lat : Metrics.histogram;  (* end-to-end invocation latency, seconds *)
   c_nm : node_metrics array;
-  c_span_ctx : (int, Span.t) Hashtbl.t;
-      (* pid of a running invocation process -> the span it serves,
-         giving nested [ctx.invoke] calls their parent link *)
   mutable c_health : health_plane option;
   c_hedge : hedge_state option;  (* present iff hedging is enabled *)
-  c_profile : profile_counters option;  (* present iff profiling is on *)
+  c_profile : Critical.fold option;
+      (* present iff profiling is on: every journalled event is fed to
+         the online attribution, which publishes the
+         [eden.profile.*] counters the latency-share watchdogs read *)
   c_dir : Directory.t;
       (* the consistent-hash ring mapping names to registry shards at
          the boot membership (epoch 0); a pure function of the member
@@ -365,7 +351,7 @@ and ops = {
     from:node_id ->
     ?timeout:Time.t ->
     ?retry:Api.retry ->
-    ?parent:Span.t ->
+    ?caller:int ->
     Capability.t ->
     op:string ->
     Value.t list ->
@@ -518,18 +504,6 @@ let consume node t = Cpu.consume (Machine.cpu node.nd_machine) t
 let home cl obj = cl.nodes.(obj.ob_home)
 let nm cl (node : node) = cl.c_nm.(node.nd_id)
 
-let span_enter cl w phase =
-  match w.w_span with
-  | None -> ()
-  | Some sp -> Span.enter sp phase ~at:(Engine.now cl.eng)
-
-(* The span served by the calling process, if it is an invocation
-   process (callable from anywhere; outside a process there is none). *)
-let current_span cl =
-  match Engine.self () with
-  | pid -> Hashtbl.find_opt cl.c_span_ctx (Engine.Pid.to_int pid)
-  | exception Invalid_argument _ -> None
-
 let next_seq node = Idgen.next node.nd_seq
 
 let new_request_id node =
@@ -578,7 +552,12 @@ let spawn_kproc cl node ~name f =
     ~leave:(fun pid -> node.nd_kprocs <- drop_pid pid node.nd_kprocs)
 
 let jrecord cl node ?ctx kind =
-  Journal.record node.nd_journal ~at:(Engine.now cl.eng) ?ctx kind
+  let at = Engine.now cl.eng in
+  let id = Journal.record node.nd_journal ~at ?ctx kind in
+  (match cl.c_profile with
+  | None -> ()
+  | Some f -> Critical.feed f ~id ~node:node.nd_id ~at ?ctx kind);
+  id
 
 (* Journal the send and derive the envelope context: the message's
    parent is the send event itself, and its trace is the caller's (or a
@@ -700,15 +679,26 @@ let find_or_add tbl key create =
     Hashtbl.replace tbl key v;
     v
 
-let invoke_async cl ~from ?timeout ?retry ?parent cap ~op args =
+let invoke_async cl ~from ?timeout ?retry ?caller cap ~op args =
   let pr = Promise.create cl.eng in
   ignore
     (spawn_daemon cl ~name:"invoke_async" (fun () ->
          let r =
-           cl.c_ops.invoke cl ~from ?timeout ?retry ?parent cap ~op args
+           cl.c_ops.invoke cl ~from ?timeout ?retry ?caller cap ~op args
          in
          ignore (Promise.fill pr r)));
   pr
+
+(* The trace of the invocation whose handler is the calling process,
+   if it is one of [obj]'s invocation processes: a nested call records
+   it on its [Inv_begin] as its caller. *)
+let caller_trace obj =
+  match Engine.self () with
+  | exception Invalid_argument _ -> None
+  | pid -> (
+    match Hashtbl.find_opt obj.ob_inflight (Engine.Pid.to_int pid) with
+    | Some { w_ctx = Some c; _ } -> Some (Tracectx.trace c)
+    | Some { w_ctx = None; _ } | None -> None)
 
 (* The kernel interface handed to type code.  Node ids named by type
    code are validated here, once, before any mechanism sees them. *)
@@ -744,13 +734,14 @@ let make_ctx cl obj =
             Ok ());
     invoke =
       (fun ?timeout ?retry cap ~op args ->
-        ops.invoke cl ~from:obj.ob_home ?timeout ?retry cap ~op args);
+        ops.invoke cl ~from:obj.ob_home ?timeout ?retry
+          ?caller:(caller_trace obj) cap ~op args);
     invoke_async =
       (fun ?timeout ?retry cap ~op args ->
-        (* Capture the parent span here: the spawned process has its
-           own pid, so the per-pid lookup would miss it. *)
+        (* Look the caller up here: the spawned process has its own
+           pid, so the per-pid lookup would miss it. *)
         invoke_async cl ~from:obj.ob_home ?timeout ?retry
-          ?parent:(current_span cl) cap ~op args);
+          ?caller:(caller_trace obj) cap ~op args);
     create_object =
       (fun ~type_name ?node init ->
         with_node

@@ -69,12 +69,35 @@ val dominant : breakdown -> category
 (** The category with the largest share (first in {!categories} order
     on ties). *)
 
-val attribute : Journal.event list -> breakdown option
-(** Attribute one trace.  The list must be a single trace's events
-    sorted by id.  [None] unless the trace contains an [Inv_begin]
-    and a later [Inv_end] (crashed, still-running, or truncated
-    requests are not attributed). *)
-
 val breakdowns : Journal.event list -> breakdown list
 (** Group a merged event list (e.g. a {!Timeline.t}) by trace and
-    attribute every complete request, ascending by trace id. *)
+    attribute every complete request, ascending by trace id: a
+    {!fold} over the id-sorted events.  A request's walk runs from its
+    [Inv_begin] to the first [Inv_end] of its trace; crashed,
+    still-running and truncated requests are not attributed. *)
+
+(** {1 Online attribution}
+
+    The same walk, advanced one event at a time as events are
+    recorded: the cluster feeds every journal event to a fold with
+    profiling on, so its latency-share counters and the offline
+    profile read one attribution. *)
+
+type fold
+
+val fold : (breakdown -> unit) -> fold
+(** A fold that calls its argument with each request's breakdown at
+    the request's [Inv_end]. *)
+
+val feed :
+  fold ->
+  id:int ->
+  node:int ->
+  at:Time.t ->
+  ?ctx:Tracectx.t ->
+  Journal.kind ->
+  unit
+(** The event just recorded as [Journal.record] records it: [id] is
+    its id, and without [ctx] it roots its own trace.  Feed events in
+    id order.  An [Inv_begin] opens a walk for its trace; later events
+    of an open trace advance it. *)

@@ -13,7 +13,7 @@ type signal =
   | Share of string * string
   | Quantile of string * float
   | Gauge_max of string
-  | Share_of_latency of string
+  | Share_of_latency of Critical.category
 
 type cmp = Above | Below
 
@@ -73,39 +73,40 @@ let default_rules =
 
 (* Profiler-fed rules: the cluster publishes per-category critical
    path nanoseconds as [eden.profile.<category>_ns] counters (with
-   profiling on), so a watchdog can fire when a category's share of
-   attributed latency shifts.  Not in [default_rules]: the counters
-   exist only with [use_profiling], and the default health report must
-   stay byte-identical with profiling off. *)
+   profiling on, for every {!Critical.category}), so a watchdog can
+   fire when a category's share of attributed latency shifts.  Not in
+   [default_rules]: the counters exist only with [use_profiling], and
+   the default health report must stay byte-identical with profiling
+   off. *)
 let profile_rules =
   [
     {
       r_name = "latency-share-wire";
-      r_signal = Share_of_latency "wire";
+      r_signal = Share_of_latency Critical.Wire;
       r_cmp = Above;
       r_threshold = 0.5;
     };
     {
       r_name = "latency-share-queue";
-      r_signal = Share_of_latency "queue";
+      r_signal = Share_of_latency Critical.Queue;
       r_cmp = Above;
       r_threshold = 0.5;
     };
     {
       r_name = "latency-share-directory";
-      r_signal = Share_of_latency "directory";
+      r_signal = Share_of_latency Critical.Directory;
       r_cmp = Above;
       r_threshold = 0.4;
     };
     {
       r_name = "latency-share-backoff";
-      r_signal = Share_of_latency "backoff";
+      r_signal = Share_of_latency Critical.Backoff;
       r_cmp = Above;
       r_threshold = 0.3;
     };
   ]
 
-let profile_counter c = "eden.profile." ^ c ^ "_ns"
+let profile_counter c = "eden.profile." ^ Critical.category_name c ^ "_ns"
 let profile_total = "eden.profile.total_ns"
 
 let default_config =
@@ -394,7 +395,8 @@ let signal_to_string = function
   | Share (a, b) -> Printf.sprintf "share(%s,%s)" a b
   | Quantile (n, q) -> Printf.sprintf "p%g(%s)" (q *. 100.0) n
   | Gauge_max n -> Printf.sprintf "max(%s)" n
-  | Share_of_latency c -> Printf.sprintf "latency-share(%s)" c
+  | Share_of_latency c ->
+    Printf.sprintf "latency-share(%s)" (Critical.category_name c)
 
 let cmp_to_string = function Above -> ">" | Below -> "<"
 

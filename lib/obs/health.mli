@@ -33,13 +33,12 @@ type signal =
       (** Maximum of the gauge across label sets and across the ticks
           of the window — depth-style signals (queues, in-flight
           checkpoints) alert on their recent worst case. *)
-  | Share_of_latency of string
+  | Share_of_latency of Critical.category
       (** A critical-path category's share of attributed latency over
-          the window: the windowed delta of
-          [eden.profile.<category>_ns] divided by that of
-          [eden.profile.total_ns] (the counters the cluster feeds from
-          finished spans with [use_profiling] on; [nan] while no
-          requests finish).  Lets a watchdog fire on attribution
+          the window: the windowed delta of {!profile_counter} divided
+          by that of {!profile_total} (the counters the cluster feeds
+          from {!Critical}'s online fold with [use_profiling] on;
+          [nan] while no requests finish).  Lets a watchdog fire on attribution
           shifts — wire time suddenly dominating, directory hops
           blowing up — rather than on raw latency alone. *)
 
@@ -71,6 +70,14 @@ val profile_rules : rule list
     [eden.profile.*] counters exist only with
     [Cluster.options.use_profiling]; append to [hc_rules] when
     profiling is on. *)
+
+val profile_counter : Critical.category -> string
+(** [eden.profile.<category>_ns]: the category's attributed
+    nanoseconds, summed over finished requests. *)
+
+val profile_total : string
+(** [eden.profile.total_ns]: end-to-end nanoseconds of the same
+    requests. *)
 
 val default_config : config
 (** [default_rules] sampled every 250 virtual ms, short window 4 ticks

@@ -8,7 +8,7 @@ type kind =
   | Delay of { dst : int option; msgs : int }
   | Coalesce of { dst : int; msgs : int }
   | Retry of { op : string; attempt : int }
-  | Inv_begin of { op : string; target : string }
+  | Inv_begin of { op : string; target : string; caller : int option }
   | Inv_end of { op : string; outcome : string }
   | Ckpt_round of { target : string; version : int }
   | Cache_install of { target : string; epoch : int }
@@ -76,7 +76,10 @@ let describe_kind = function
   | Coalesce { dst; msgs } ->
     Printf.sprintf "coalesce %d msg(s) -> n%d" msgs dst
   | Retry { op; attempt } -> Printf.sprintf "retry #%d %s" attempt op
-  | Inv_begin { op; target } -> Printf.sprintf "invoke %s.%s" target op
+  | Inv_begin { op; target; caller = None } ->
+    Printf.sprintf "invoke %s.%s" target op
+  | Inv_begin { op; target; caller = Some c } ->
+    Printf.sprintf "invoke %s.%s from trace %d" target op c
   | Inv_end { op; outcome } -> Printf.sprintf "invoked %s: %s" op outcome
   | Ckpt_round { target; version } ->
     Printf.sprintf "ckpt round %s v%d" target version
@@ -276,8 +279,8 @@ let store t ~slot ~id ~at ~trace ~parent kind =
   | Retry { op; attempt } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:6 ~a1:attempt ~a2:(-1)
       ~s1:(intern t 2 op) ~s2:""
-  | Inv_begin { op; target } ->
-    set t ~slot ~id ~at ~trace ~parent ~tag:7 ~a1:(-1) ~a2:(-1)
+  | Inv_begin { op; target; caller } ->
+    set t ~slot ~id ~at ~trace ~parent ~tag:7 ~a1:(enc_opt caller) ~a2:(-1)
       ~s1:(intern t 3 op) ~s2:(intern t 4 target)
   | Inv_end { op; outcome } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:8 ~a1:(-1) ~a2:(-1)
@@ -351,7 +354,7 @@ let decode ~tag ~a1 ~a2 ~s1 ~s2 =
   | 4 -> Delay { dst = dec_opt a1; msgs = a2 }
   | 5 -> Coalesce { dst = a1; msgs = a2 }
   | 6 -> Retry { op = s1; attempt = a1 }
-  | 7 -> Inv_begin { op = s1; target = s2 }
+  | 7 -> Inv_begin { op = s1; target = s2; caller = dec_opt a1 }
   | 8 -> Inv_end { op = s1; outcome = s2 }
   | 9 -> Ckpt_round { target = s1; version = a1 }
   | 10 -> Cache_install { target = s1; epoch = a1 }

@@ -26,7 +26,11 @@ type kind =
   | Coalesce of { dst : int; msgs : int }
       (** a coalesced batch of [msgs] messages left for [dst] *)
   | Retry of { op : string; attempt : int }
-  | Inv_begin of { op : string; target : string }
+  | Inv_begin of { op : string; target : string; caller : int option }
+      (** an invocation entered the kernel at its requester; it roots
+          its own trace.  [caller] is the trace id of the invocation
+          whose handler made this call ([ctx.invoke] or
+          [ctx.invoke_async]), so call trees can be rebuilt *)
   | Inv_end of { op : string; outcome : string }
   | Ckpt_round of { target : string; version : int }
   | Cache_install of { target : string; epoch : int }

@@ -1,7 +1,7 @@
 (** A minimal self-contained JSON value type, printer and parser.
 
-    The observability layer exports metric snapshots and invocation
-    spans as JSON so that external tooling can re-check every number
+    The observability layer exports metric snapshots, timelines and
+    profiles as JSON so that external tooling can re-check every number
     an experiment reports.  The repository deliberately avoids an
     external JSON dependency; this module implements the subset of RFC
     8259 the exporter needs (and its parser accepts any standard JSON

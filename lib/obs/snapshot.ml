@@ -3,15 +3,9 @@ open Eden_util
 type t = {
   at : Time.t;
   metrics : Metrics.sample list;
-  spans : Span.info list;
 }
 
-let take ~at ?spans reg =
-  {
-    at;
-    metrics = Metrics.sample reg;
-    spans = (match spans with Some c -> Span.finished c | None -> []);
-  }
+let take ~at reg = { at; metrics = Metrics.sample reg }
 
 let find t ?labels name = Metrics.find t.metrics ?labels name
 
@@ -52,7 +46,6 @@ let to_json t =
       ("schema", Json.Str "eden-metrics/1");
       ("at_ns", Json.Int (Time.to_ns t.at));
       ("metrics", Json.List (List.map sample_to_json t.metrics));
-      ("spans", Json.List (List.map Span.info_to_json t.spans));
     ]
 
 let ( let* ) r f = Result.bind r f
@@ -146,20 +139,7 @@ let of_json j =
       (Ok []) l
     |> Result.map List.rev
   in
-  let* spans =
-    match Json.member "spans" j with
-    | None -> Ok []
-    | Some (Json.List l) ->
-      List.fold_left
-        (fun acc x ->
-          let* acc = acc in
-          let* s = Span.info_of_json x in
-          Ok (s :: acc))
-        (Ok []) l
-      |> Result.map List.rev
-    | Some _ -> Error "snapshot: spans must be a list"
-  in
-  Ok { at = Time.ns at_ns; metrics; spans }
+  Ok { at = Time.ns at_ns; metrics }
 
 let to_string ?compact t = Json.to_string ?compact (to_json t)
 
@@ -295,6 +275,5 @@ let pp_table t =
     Buffer.add_char b '\n'
   end;
   Buffer.add_string b
-    (Printf.sprintf "spans retained: %d (virtual time %s)\n"
-       (List.length t.spans) (Time.to_string t.at));
+    (Printf.sprintf "virtual time %s\n" (Time.to_string t.at));
   Buffer.contents b

@@ -1,7 +1,7 @@
 (** A point-in-time export of the whole observability state.
 
-    A snapshot pairs the registry's sampled metrics with the retained
-    invocation spans at a given virtual time.  It serialises to a
+    A snapshot is the registry's sampled metrics at a given virtual
+    time.  It serialises to a
     stable JSON schema ([eden-metrics/1]) and parses back, so external
     tooling — and the repo's own tests — can verify every exported
     number. *)
@@ -9,12 +9,10 @@
 type t = {
   at : Eden_util.Time.t;  (** virtual time of the sample *)
   metrics : Metrics.sample list;
-  spans : Span.info list;
 }
 
-val take : at:Eden_util.Time.t -> ?spans:Span.collector -> Metrics.t -> t
-(** Sample the registry (and, when given, drain-read the collector's
-    retained spans). *)
+val take : at:Eden_util.Time.t -> Metrics.t -> t
+(** Sample the registry. *)
 
 val find : t -> ?labels:Metrics.labels -> string -> Metrics.value option
 
@@ -28,8 +26,7 @@ val to_json : t -> Json.t
                  | { ..., "kind": "gauge", "value": <float> }
                  | { ..., "kind": "histogram", "bounds": [...],
                      "counts": [...], "overflow": <int>,
-                     "count": <int>, "sum": <float> } ],
-      "spans":   [ <Span.info_to_json> ... ] }
+                     "count": <int>, "sum": <float> } ] }
     v} *)
 
 val of_json : Json.t -> (t, string) result

@@ -1,118 +1,14 @@
-(** Invocation spans: the phase breakdown of one kernel invocation.
+(** What is left of the invocation span recorder: its start counter.
 
-    Every invocation gets a span when it enters the kernel.  A span is
-    a small state machine over virtual time: exactly one {!phase} is
-    open at any moment, and {!enter} closes the current phase (charging
-    it the elapsed virtual time) while opening the next.  Because the
-    phases partition the span's lifetime, their durations always sum
-    exactly to the end-to-end latency — even across retries, nacks and
-    forwarding, which simply re-enter earlier phases.
+    Invocations are recorded once, in the {!Journal}; latency, its
+    attribution ({!Critical}) and call links are derived from that one
+    stream.  The benchmark still reads the number of invocations begun
+    through this interface, so it stays until the next benchmark change
+    deletes it. *)
 
-    Phases, in the order a clean remote invocation passes through them:
-
-    - [Locate] — requester-side setup: hint-cache lookup, locate
-      broadcasts and their reply windows, nack-driven re-location.
-    - [Transport] — the request on the wire, including marshalling on
-      both ends, MAC contention and any forwarding hops.
-    - [Queue] — waiting in the target object's port for the
-      coordinator.
-    - [Dispatch] — admission: rights and class checks, class-queue
-      waits, invocation-process creation.
-    - [Execute] — the operation handler itself.
-    - [Reply] — result delivery back to the requester, including the
-      wire and reply-side processing.
-
-    A local invocation skips [Transport] (it stays at zero).  Spans
-    carry a parent link when the invocation was made from inside
-    another invocation's handler ([ctx.invoke]), so cross-node call
-    trees are reconstructable from the exported records. *)
-
-type phase = Locate | Transport | Queue | Dispatch | Execute | Reply
-
-val phases : phase list
-(** In canonical order. *)
-
-val phase_name : phase -> string
-val phase_of_name : string -> phase option
-
-type info = {
-  i_id : int;
-  i_parent : int option;
-  i_op : string;
-  i_target : string;  (** printed object name *)
-  i_origin : int;  (** requesting node *)
-  i_remote : bool;  (** the request crossed the wire *)
-  i_outcome : string;  (** ["ok"] or an error tag *)
-  i_start : Eden_util.Time.t;
-  i_finish : Eden_util.Time.t;
-  i_phases : (phase * Eden_util.Time.t) list;  (** canonical order *)
-}
-(** The immutable record of a finished span. *)
-
-val info_duration : info -> Eden_util.Time.t
-val info_phase : info -> phase -> Eden_util.Time.t
-
-val info_to_json : info -> Json.t
-val info_of_json : Json.t -> (info, string) result
-
-(** {1 Live spans} *)
-
-type t
-type collector
-
-val create : ?keep:int -> unit -> collector
-(** Retain the last [keep] finished spans (default 4096); earlier ones
-    are dropped oldest-first but still counted. *)
-
-val start :
-  collector ->
-  ?parent:t ->
-  op:string ->
-  target:string ->
-  origin:int ->
-  at:Eden_util.Time.t ->
-  unit ->
-  t
-(** A fresh span with the [Locate] phase open. *)
-
-val id : t -> int
-val enter : t -> phase -> at:Eden_util.Time.t -> unit
-(** Close the open phase and open [phase].  On a finished span (e.g. a
-    server-side step arriving after the requester timed out) the sealed
-    record is left untouched and the call is counted in the
-    collector's {!late_events}. *)
-
-val note_remote : t -> unit
-val finish : t -> outcome:string -> at:Eden_util.Time.t -> unit
-(** Close the open phase, seal the span and retain its {!info}.
-    Idempotent; a repeat finish is counted in {!late_events}. *)
-
-val duration : t -> Eden_util.Time.t
-(** Elapsed from start to finish; requires a finished span (raises
-    [Invalid_argument] otherwise). *)
-
-val phase_time : t -> phase -> Eden_util.Time.t
-(** Accumulated time in [phase] so far (all visits summed); valid on
-    live and finished spans.  The cluster's online profile counters
-    are fed from this at span finish. *)
-
-(** {1 Reading a collector} *)
+type collector = Metrics.t
+(** The cluster's metrics registry. *)
 
 val started : collector -> int
-val finished_count : collector -> int
-
-val late_events : collector -> int
-(** Phase changes or finishes that arrived after their span was
-    sealed — late server-side work the sealed records cannot show
-    (exported as the [eden.span.late_events] counter). *)
-
-val finished : collector -> info list
-(** Retained finished spans, oldest first. *)
-
-val last_finished : collector -> info option
-val clear : collector -> unit
-(** Drop retained records (live spans and totals are unaffected). *)
-
-val children : info list -> int -> info list
-(** [children infos id] are the spans whose parent is [id], in
-    finish order. *)
+(** Invocations begun: the [eden.invocations] counters summed over
+    their node labels. *)

@@ -780,7 +780,9 @@ let gate_rows =
 
 (* Two same-seed runs write byte-identical bundles; the journals
    retain every event, so all invariants — the completeness-gated ones
-   included — are checked, and none is violated. *)
+   included — are checked, and none is violated.  With every event
+   retained, the online attribution the watchdogs read equals the
+   offline walk over the timeline, category by category. *)
 let test_gate config () =
   let a = Chaos.run config and b = Chaos.run config in
   check_int "journal dropped nothing" 0 a.dropped;
@@ -788,6 +790,26 @@ let test_gate config () =
     "no invariant violations" []
     (List.map (Format.asprintf "%a" Eden_obs.Check.pp_violation) a.violations);
   check_bool "every counter answers post-heal" true a.probes_ok;
+  let bds =
+    Eden_obs.Critical.breakdowns (Eden_obs.Timeline.events a.timeline)
+  in
+  let snap = Cluster.metrics_snapshot a.cluster in
+  let online name =
+    match Eden_obs.Snapshot.find snap name with
+    | Some (Eden_obs.Metrics.Counter n) -> n
+    | _ -> Alcotest.failf "%s not published" name
+  in
+  let offline f = List.fold_left (fun acc bd -> acc + f bd) 0 bds in
+  List.iter
+    (fun c ->
+      check_int
+        ("online = offline: " ^ Eden_obs.Critical.category_name c)
+        (offline (fun bd -> Eden_obs.Critical.part bd c))
+        (online (Eden_obs.Health.profile_counter c)))
+    Eden_obs.Critical.categories;
+  check_int "online = offline: total"
+    (offline (fun bd -> bd.Eden_obs.Critical.bd_total_ns))
+    (online Eden_obs.Health.profile_total);
   List.iter2
     (fun (name, x) (name', y) ->
       Alcotest.(check string) "same file" name name';
@@ -804,14 +826,14 @@ let pinned_digests =
       [
         ("summary.txt", "c40d3f52bda3fe9853aaaaec1461aa63");
         ("plan.txt", "7244cb69408f5a11a029d32fe2c538fd");
-        ("metrics.json", "e88a952b1c756db86f9041d904de31a0");
-        ("timeline.json", "653ecfe3b22fb1774a4280f1f0aea86b");
-        ("timeline.txt", "833505a4635cbda04fd1a03173b0e0ec");
+        ("metrics.json", "c750ba32e5f8c0dab36e851289a18ce1");
+        ("timeline.json", "a6138f7638a821cf0ffcf227a914682f");
+        ("timeline.txt", "c4acbb401427289d7205df3ebb008c78");
         ("profile.txt", "3a37fc8a206d4962c08c285db8d5e167");
         ("profile.json", "521fa2a96c3a7fa83c7f9cdc9a41abcb");
         ("profile.folded", "513b5e69bd7d20235e85c0ae4e79a866");
-        ("profile-chrome.json", "78a024a5dbb5f9b921f50efcb1c8bc7d");
-        ("health.txt", "e947eddb9e0e960c109132379ea213b3");
+        ("profile-chrome.json", "5290d49fe6ced70e1fb49818578a7d0b");
+        ("health.txt", "67e18febd879ae020d1849f2ca4c81d8");
         ("health.json", "2def08b2b0f2aa666b47e8047dc3dd5a");
         ("top.txt", "810561348cf7a338a99ee089f0bdef3b");
         ("check.json", "d751713988987e9331980363e24189ce");
@@ -820,14 +842,14 @@ let pinned_digests =
       [
         ("summary.txt", "87394215b2b6a84173305998fe6cfd4a");
         ("plan.txt", "7244cb69408f5a11a029d32fe2c538fd");
-        ("metrics.json", "c41999b806833d6b999fa04a779bf2f1");
-        ("timeline.json", "06947d675ff6f152cde72cf6d508fcf3");
-        ("timeline.txt", "2bb0a416f5ccf342f591db859e112b19");
+        ("metrics.json", "43e1d80c23e7a375ccde81b31c480e6d");
+        ("timeline.json", "e1d414b1f9084cb03f2dd9bbd9bdd529");
+        ("timeline.txt", "5d667640df4626d958e2085e56a0dfa5");
         ("profile.txt", "879dcecb6030ff7a597f2559647e150a");
         ("profile.json", "9efbc8c3097a09a9628f517fd6df0fc9");
         ("profile.folded", "72cd00680ab7d288829486102074df5a");
-        ("profile-chrome.json", "f676d1f4a2a3ebde86d893daabb2741e");
-        ("health.txt", "4cef1ed2bdc7a44d35d58a1bfdb15398");
+        ("profile-chrome.json", "9df0b4f5d96ae43ea67a354f24cf95d7");
+        ("health.txt", "6c0e5ebaca3b679fac38270263729aea");
         ("health.json", "a966681bff190593496a1f717e45aebc");
         ("top.txt", "2385b7bb14961faa77707ff4880d577e");
         ("check.json", "d751713988987e9331980363e24189ce");

@@ -504,7 +504,6 @@ let test_message_sizes_scale () =
         reply_to = 0;
         hops = 0;
         may_activate = false;
-        span = None;
       }
   in
   let small = Message.size_bytes (req []) in

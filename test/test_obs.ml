@@ -12,6 +12,11 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
+let contains hay needle =
+  let n = String.length hay and m = String.length needle in
+  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
+  go 0
+
 let ok_or_fail label = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" label (Error.to_string e)
@@ -364,62 +369,6 @@ let test_health_unit () =
          }))
 
 (* ------------------------------------------------------------------ *)
-(* Spans *)
-
-let test_span_phases_sum () =
-  let col = Span.create () in
-  let sp = Span.start col ~op:"read" ~target:"obj" ~origin:1 ~at:Time.zero () in
-  Span.enter sp Span.Transport ~at:(Time.us 10);
-  Span.note_remote sp;
-  Span.enter sp Span.Queue ~at:(Time.us 25);
-  Span.enter sp Span.Dispatch ~at:(Time.us 30);
-  Span.enter sp Span.Execute ~at:(Time.us 50);
-  (* A nack retry re-enters Locate; the sum property must survive. *)
-  Span.enter sp Span.Locate ~at:(Time.us 60);
-  Span.enter sp Span.Execute ~at:(Time.us 75);
-  Span.enter sp Span.Reply ~at:(Time.us 90);
-  Span.finish sp ~outcome:"ok" ~at:(Time.us 100);
-  check_int "duration" 100_000 (Time.to_ns (Span.duration sp));
-  let info =
-    match Span.last_finished col with
-    | Some i -> i
-    | None -> Alcotest.fail "no finished span"
-  in
-  let phase_sum =
-    List.fold_left
-      (fun acc (_, d) -> acc + Time.to_ns d)
-      0 info.Span.i_phases
-  in
-  check_int "phases partition the lifetime" 100_000 phase_sum;
-  check_int "locate re-entered" 25_000
-    (Time.to_ns (Span.info_phase info Span.Locate));
-  check_int "execute accumulated" 25_000
-    (Time.to_ns (Span.info_phase info Span.Execute));
-  check_bool "remote noted" true info.Span.i_remote;
-  check_string "outcome" "ok" info.Span.i_outcome;
-  (* finish is idempotent; enter on a finished span is a no-op. *)
-  Span.finish sp ~outcome:"late" ~at:(Time.ms 5);
-  Span.enter sp Span.Execute ~at:(Time.ms 5);
-  check_int "still one retained" 1 (Span.finished_count col);
-  check_string "first outcome wins" "ok"
-    (match Span.last_finished col with
-    | Some i -> i.Span.i_outcome
-    | None -> "?")
-
-let test_span_retention () =
-  let col = Span.create ~keep:2 () in
-  for i = 1 to 4 do
-    let sp =
-      Span.start col ~op:(string_of_int i) ~target:"t" ~origin:0
-        ~at:Time.zero ()
-    in
-    Span.finish sp ~outcome:"ok" ~at:(Time.us i)
-  done;
-  check_int "all counted" 4 (Span.finished_count col);
-  check_bool "only the last two retained" true
-    (List.map (fun i -> i.Span.i_op) (Span.finished col) = [ "3"; "4" ])
-
-(* ------------------------------------------------------------------ *)
 (* Snapshot JSON *)
 
 let test_snapshot_roundtrip () =
@@ -429,18 +378,7 @@ let test_snapshot_roundtrip () =
   let h = Metrics.histogram reg ~buckets:[| 0.001; 0.01 |] "lat" in
   Metrics.observe h 0.002;
   Metrics.observe h 0.5;
-  let col = Span.create () in
-  let parent =
-    Span.start col ~op:"outer" ~target:"a" ~origin:0 ~at:Time.zero ()
-  in
-  let child =
-    Span.start col ~parent ~op:"inner" ~target:"b" ~origin:1
-      ~at:(Time.us 5) ()
-  in
-  Span.note_remote child;
-  Span.finish child ~outcome:"ok" ~at:(Time.us 9);
-  Span.finish parent ~outcome:"timeout" ~at:(Time.us 20);
-  let snap = Snapshot.take ~at:(Time.ms 3) ~spans:col reg in
+  let snap = Snapshot.take ~at:(Time.ms 3) reg in
   (* Compact and indented renderings parse back to the same value. *)
   List.iter
     (fun compact ->
@@ -448,18 +386,7 @@ let test_snapshot_roundtrip () =
       | Error e -> Alcotest.failf "reparse failed: %s" e
       | Ok snap' ->
         check_bool "roundtrip preserves everything" true (snap' = snap))
-    [ true; false ];
-  (* Parent links survive the trip. *)
-  match Snapshot.of_string (Snapshot.to_string snap) with
-  | Error e -> Alcotest.failf "reparse failed: %s" e
-  | Ok snap' ->
-    let inner =
-      match Span.children snap'.Snapshot.spans (Span.id parent) with
-      | [ i ] -> i
-      | l -> Alcotest.failf "expected one child, got %d" (List.length l)
-    in
-    check_string "child op" "inner" inner.Span.i_op;
-    check_bool "child remote" true inner.Span.i_remote
+    [ true; false ]
 
 let test_snapshot_rejects_garbage () =
   check_bool "not json" true (Result.is_error (Snapshot.of_string "{"));
@@ -548,6 +475,18 @@ let with_cluster ?seed ?(n = 3) body =
   | Some r -> r
   | None -> Alcotest.fail "driver did not complete"
 
+(* The critical-path breakdown of the last finished request for [op],
+   from the cluster's merged journals. *)
+let last_breakdown cl op =
+  match
+    List.rev
+      (List.filter
+         (fun bd -> bd.Critical.bd_op = op)
+         (Critical.breakdowns (Timeline.events (Cluster.timeline cl))))
+  with
+  | bd :: _ -> bd
+  | [] -> Alcotest.failf "no breakdown for %s" op
+
 let test_remote_span_matches_latency () =
   with_cluster (fun cl ->
       let cap =
@@ -559,30 +498,18 @@ let test_remote_span_matches_latency () =
       let t0 = Engine.now eng in
       ignore
         (ok_or_fail "invoke" (Cluster.invoke cl ~from:0 cap ~op:"spin" []));
-      let latency = Time.diff (Engine.now eng) t0 in
-      let info =
-        match Span.last_finished (Cluster.spans cl) with
-        | Some i -> i
-        | None -> Alcotest.fail "no span recorded"
-      in
-      check_string "span op" "spin" info.Span.i_op;
-      check_int "origin node" 0 info.Span.i_origin;
-      check_bool "crossed the wire" true info.Span.i_remote;
-      check_string "outcome" "ok" info.Span.i_outcome;
-      (* The span's end-to-end duration is the observed virtual-time
-         latency, and the phase durations partition it exactly. *)
-      check_int "span duration = observed latency" (Time.to_ns latency)
-        (Time.to_ns (Span.info_duration info));
-      let phase_sum =
-        List.fold_left
-          (fun acc (_, d) -> acc + Time.to_ns d)
-          0 info.Span.i_phases
-      in
-      check_int "phase sum = latency" (Time.to_ns latency) phase_sum;
-      check_bool "transport charged" true
-        Time.(Span.info_phase info Span.Transport > zero);
-      check_bool "execute charged the handler's compute" true
-        Time.(Span.info_phase info Span.Execute >= us 50))
+      let latency = Time.to_ns (Time.diff (Engine.now eng) t0) in
+      let bd = last_breakdown cl "spin" in
+      check_int "origin node" 0 bd.Critical.bd_node;
+      check_string "outcome" "ok" bd.Critical.bd_outcome;
+      (* The journal brackets the observed virtual-time latency, and
+         the categories partition it exactly. *)
+      check_int "breakdown total = observed latency" latency
+        bd.Critical.bd_total_ns;
+      check_int "category sum = latency" latency (Critical.sum_parts bd);
+      check_bool "wire charged" true (Critical.part bd Critical.Wire > 0);
+      check_bool "service covers the handler's compute" true
+        (Critical.part bd Critical.Service >= 50_000))
 
 let test_local_span_skips_transport () =
   with_cluster (fun cl ->
@@ -592,14 +519,10 @@ let test_local_span_skips_transport () =
              (Value.Int 1))
       in
       ignore (ok_or_fail "invoke" (Cluster.invoke cl ~from:0 cap ~op:"get" []));
-      let info =
-        match Span.last_finished (Cluster.spans cl) with
-        | Some i -> i
-        | None -> Alcotest.fail "no span recorded"
-      in
-      check_bool "local" false info.Span.i_remote;
-      check_int "no transport" 0
-        (Time.to_ns (Span.info_phase info Span.Transport)))
+      let bd = last_breakdown cl "get" in
+      check_int "no wire" 0 (Critical.part bd Critical.Wire);
+      check_int "category sum = latency" bd.Critical.bd_total_ns
+        (Critical.sum_parts bd))
 
 let test_nested_invoke_parent_link () =
   with_cluster (fun cl ->
@@ -619,23 +542,61 @@ let test_nested_invoke_parent_link () =
       | Ok [ Value.Int 42 ] -> ()
       | Ok _ -> Alcotest.fail "unexpected relay result"
       | Error e -> Alcotest.failf "relay: %s" (Error.to_string e));
-      let infos = Span.finished (Cluster.spans cl) in
-      let outer =
-        match
-          List.find_opt (fun i -> i.Span.i_op = "relay_get") infos
-        with
-        | Some i -> i
-        | None -> Alcotest.fail "outer span missing"
+      let events = Timeline.events (Cluster.timeline cl) in
+      let begin_of op =
+        List.filter
+          (fun e ->
+            match e.Journal.ev_kind with
+            | Journal.Inv_begin b -> b.op = op
+            | _ -> false)
+          events
       in
-      match Span.children infos outer.Span.i_id with
+      let end_at trace =
+        match
+          List.find_opt
+            (fun e ->
+              e.Journal.ev_trace = trace
+              &&
+              match e.Journal.ev_kind with
+              | Journal.Inv_end _ -> true
+              | _ -> false)
+            events
+        with
+        | Some e -> e.Journal.ev_at
+        | None -> Alcotest.failf "trace %d never ended" trace
+      in
+      let outer =
+        match begin_of "relay_get" with
+        | [ e ] -> e
+        | l -> Alcotest.failf "expected one outer begin, got %d" (List.length l)
+      in
+      check_bool "the outer call has no caller" true
+        (match outer.Journal.ev_kind with
+        | Journal.Inv_begin { caller = None; _ } -> true
+        | _ -> false);
+      check_bool "and prints none" false
+        (contains (Journal.describe_kind outer.Journal.ev_kind) "from");
+      match begin_of "get" with
       | [ inner ] ->
-        check_string "nested op" "get" inner.Span.i_op;
+        check_bool "nested begin names the outer trace" true
+          (inner.Journal.ev_kind
+          = Journal.Inv_begin
+              {
+                op = "get";
+                target =
+                  Eden_kernel.Name.to_string (Eden_kernel.Capability.name b);
+                caller = Some outer.Journal.ev_trace;
+              });
+        check_bool "the link is printed" true
+          (contains
+             (Journal.describe_kind inner.Journal.ev_kind)
+             (Printf.sprintf "from trace %d" outer.Journal.ev_trace));
         (* ctx.invoke runs in A's handler on node 0. *)
-        check_int "nested origin is the handler's node" 0
-          inner.Span.i_origin;
-        check_bool "nested finished inside the outer span" true
-          Time.(inner.Span.i_finish <= outer.Span.i_finish)
-      | l -> Alcotest.failf "expected one child span, got %d" (List.length l))
+        check_int "nested origin is the handler's node" 0 inner.Journal.ev_node;
+        check_bool "nested finished inside the outer call" true
+          Time.(
+            end_at inner.Journal.ev_trace <= end_at outer.Journal.ev_trace)
+      | l -> Alcotest.failf "expected one nested begin, got %d" (List.length l))
 
 let test_cluster_snapshot_contents () =
   with_cluster (fun cl ->
@@ -674,10 +635,96 @@ let test_cluster_snapshot_contents () =
       | Some (Metrics.Histogram v) ->
         check_int "every invocation observed" 5 v.Metrics.count
       | _ -> Alcotest.fail "latency histogram missing");
-      check_int "spans retained" 5 (List.length snap.Snapshot.spans);
       (* The exported snapshot passes its own round trip. *)
       check_bool "export parses" true
         (Result.is_ok (Snapshot.of_string (Snapshot.to_string snap))))
+
+(* A counter summed over its label sets, 0 when absent. *)
+let counter_total snap name =
+  List.fold_left
+    (fun acc (smp : Metrics.sample) ->
+      match smp.s_value with
+      | Metrics.Counter n when smp.s_name = name -> acc + n
+      | _ -> acc)
+    0 snap.Snapshot.metrics
+
+(* The online fold publishes, per category, exactly what the offline
+   walk over the run's timeline attributes: remote, local and nested
+   calls alike. *)
+let test_span_phases_sum () =
+  let options = { Cluster.default_options with Cluster.use_profiling = true } in
+  let cl = Cluster.default ~seed:5L ~options ~n_nodes:3 () in
+  Cluster.register_type cl relay_type;
+  let _ =
+    Cluster.in_process cl (fun () ->
+        let a =
+          ok_or_fail "create a"
+            (Cluster.create_object cl ~node:0 ~type_name:"obs_relay"
+               (Value.Int 0))
+        in
+        let b =
+          ok_or_fail "create b"
+            (Cluster.create_object cl ~node:1 ~type_name:"obs_relay"
+               (Value.Int 9))
+        in
+        for i = 0 to 5 do
+          ignore
+            (ok_or_fail "spin"
+               (Cluster.invoke cl ~from:(i mod 3) b ~op:"spin" []));
+          ignore
+            (ok_or_fail "relay"
+               (Cluster.invoke cl ~from:(i mod 3) a ~op:"relay_get"
+                  [ Value.Cap b ]))
+        done)
+  in
+  Cluster.run cl;
+  check_int "nothing dropped" 0 (Cluster.journal_dropped cl);
+  let bds = Critical.breakdowns (Timeline.events (Cluster.timeline cl)) in
+  check_int "every call attributed" 18 (List.length bds);
+  let snap = Cluster.metrics_snapshot cl in
+  List.iter
+    (fun c ->
+      check_int
+        ("online = offline: " ^ Critical.category_name c)
+        (List.fold_left (fun acc bd -> acc + Critical.part bd c) 0 bds)
+        (counter_total snap (Health.profile_counter c)))
+    Critical.categories;
+  check_int "online = offline: total"
+    (List.fold_left (fun acc bd -> acc + bd.Critical.bd_total_ns) 0 bds)
+    (counter_total snap Health.profile_total)
+
+(* The latency histogram and the online attribution are fed as events
+   are recorded, not read back from the ring: both count every call
+   after a tiny journal has wrapped many times over. *)
+let test_span_retention () =
+  let options = { Cluster.default_options with Cluster.use_profiling = true } in
+  let cl = Cluster.default ~seed:3L ~options ~journal_cap:8 ~n_nodes:2 () in
+  Cluster.register_type cl relay_type;
+  let calls = 20 and observed = ref 0 in
+  let _ =
+    Cluster.in_process cl (fun () ->
+        let cap =
+          ok_or_fail "create"
+            (Cluster.create_object cl ~node:1 ~type_name:"obs_relay"
+               (Value.Int 7))
+        in
+        let eng = Cluster.engine cl in
+        for _ = 1 to calls do
+          let t0 = Engine.now eng in
+          ignore
+            (ok_or_fail "get" (Cluster.invoke cl ~from:0 cap ~op:"get" []));
+          observed := !observed + Time.to_ns (Time.diff (Engine.now eng) t0)
+        done)
+  in
+  Cluster.run cl;
+  check_bool "ring wrapped" true (Cluster.journal_dropped cl > 0);
+  let snap = Cluster.metrics_snapshot cl in
+  (match Snapshot.find snap "eden.invocation_latency_s" with
+  | Some (Metrics.Histogram v) ->
+    check_int "every invocation observed" calls v.Metrics.count
+  | _ -> Alcotest.fail "latency histogram missing");
+  check_int "every invocation attributed" !observed
+    (counter_total snap Health.profile_total)
 
 (* ------------------------------------------------------------------ *)
 (* Event journals, trace contexts, timelines, and the trace checker *)
@@ -732,7 +779,8 @@ let test_journal_kind_roundtrip () =
       Journal.Delay { dst = None; msgs = 4 };
       Journal.Coalesce { dst = 2; msgs = 6 };
       Journal.Retry { op = "get"; attempt = 2 };
-      Journal.Inv_begin { op = "get"; target = "obj#1" };
+      Journal.Inv_begin { op = "get"; target = "obj#1"; caller = None };
+      Journal.Inv_begin { op = "put"; target = "obj#2"; caller = Some 12 };
       Journal.Inv_end { op = "get"; outcome = "ok" };
       Journal.Ckpt_round { target = "obj#1"; version = 3 };
       Journal.Cache_install { target = "obj#1"; epoch = 1 };
@@ -911,11 +959,6 @@ let test_cluster_journal () =
    category is known in advance, then the profiler over real cluster
    runs. *)
 
-let contains hay needle =
-  let n = String.length hay and m = String.length needle in
-  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-  go 0
-
 (* One remote request with a mid-flight injected hold: begin, request
    out (held 3us of its flight), served, reply back, end.  The hold is
    endpoint degradation, so those 3us belong to [service]; the rest of
@@ -927,7 +970,7 @@ let test_attribution () =
   let j1 = Journal.create sink ~node:1 ~cap:64 in
   let b =
     Journal.record j0 ~at:Time.zero
-      (Journal.Inv_begin { op = "get"; target = "obj<1.1>" })
+      (Journal.Inv_begin { op = "get"; target = "obj<1.1>"; caller = None })
   in
   let ctx = Tracectx.root b in
   let s =
@@ -986,7 +1029,7 @@ let test_attribution_categories () =
   let j = Journal.create sink ~node:0 ~cap:64 in
   let b =
     Journal.record j ~at:Time.zero
-      (Journal.Inv_begin { op = "get"; target = "obj<1.9>" })
+      (Journal.Inv_begin { op = "get"; target = "obj<1.9>"; caller = None })
   in
   let ctx = Tracectx.root b in
   let d =
@@ -1013,9 +1056,9 @@ let test_attribution_categories () =
        ~ctx:(Tracectx.with_parent ctx ~parent:s2)
        (Journal.Inv_end { op = "get"; outcome = "timeout" }));
   let bd =
-    match Critical.attribute (Journal.events j) with
-    | Some bd -> bd
-    | None -> Alcotest.fail "trace did not attribute"
+    match Critical.breakdowns (Journal.events j) with
+    | [ bd ] -> bd
+    | _ -> Alcotest.fail "trace did not attribute"
   in
   check_int "locate question + answer -> directory" 5_000
     (Critical.part bd Critical.Directory);
@@ -1038,7 +1081,7 @@ let test_profile_unit () =
   let request ~start ~dur =
     let b =
       Journal.record j ~at:start
-        (Journal.Inv_begin { op = "get"; target = "obj<0.1>" })
+        (Journal.Inv_begin { op = "get"; target = "obj<0.1>"; caller = None })
     in
     ignore
       (Journal.record j
@@ -1052,7 +1095,7 @@ let test_profile_unit () =
   (* A begun-but-never-finished request is skipped, not guessed at. *)
   ignore
     (Journal.record j ~at:(Time.us 300)
-       (Journal.Inv_begin { op = "get"; target = "obj<0.1>" }));
+       (Journal.Inv_begin { op = "get"; target = "obj<0.1>"; caller = None }));
   let pf = Profile.of_events (Journal.events j) in
   check_int "requests" 3 (Profile.requests pf);
   check_int "skipped" 1 (Profile.skipped pf);
@@ -1219,6 +1262,58 @@ let run_health_cluster seed =
   Cluster.run cl;
   (cl, !target)
 
+(* The latency-share watchdogs read the profiler's categories.  Reply
+   loss under [Api.default_retry] makes requests time out and sleep
+   before retrying: the backoff counter fills and the backoff rule
+   sees a non-zero share. *)
+let test_backoff_watchdog () =
+  let options = { Cluster.default_options with Cluster.use_profiling = true } in
+  let health =
+    { Health.default_config with Health.hc_rules = Health.profile_rules }
+  in
+  let cl = Cluster.default ~seed:9L ~options ~health ~n_nodes:2 () in
+  Cluster.register_type cl relay_type;
+  let _ =
+    Cluster.in_process cl (fun () ->
+        let cap =
+          ok_or_fail "create"
+            (Cluster.create_object cl ~node:1 ~type_name:"obs_relay"
+               (Value.Int 7))
+        in
+        let plan =
+          Eden_fault.Plan.make
+            [
+              {
+                Eden_fault.Plan.at = Time.zero;
+                action =
+                  Eden_fault.Plan.Break_link
+                    { src = 1; dst = 0; kind = Eden_fault.Plan.Drop; p = 0.5 };
+              };
+            ]
+        in
+        ignore (Eden_fault.Controller.arm ~seed:9L cl plan);
+        for _ = 1 to 20 do
+          ignore
+            (Cluster.invoke cl ~from:0 ~timeout:(Time.ms 200)
+               ~retry:Api.default_retry cap ~op:"get" [])
+        done)
+  in
+  Cluster.run cl;
+  let snap = Cluster.metrics_snapshot cl in
+  check_bool "retries happened" true (counter_total snap "eden.retries" > 0);
+  check_bool "backoff attributed online" true
+    (counter_total snap "eden.profile.backoff_ns" > 0);
+  let h = Option.get (Cluster.health cl) in
+  match
+    List.find_opt
+      (fun st -> st.Health.st_rule.Health.r_name = "latency-share-backoff")
+      (Health.statuses h)
+  with
+  | None -> Alcotest.fail "latency-share-backoff not evaluated"
+  | Some st ->
+    check_bool "backoff share seen by the long window" true
+      (st.Health.st_long > 0.0)
+
 let test_cluster_health () =
   let cl, target = run_health_cluster 7L in
   let h =
@@ -1301,6 +1396,8 @@ let () =
           Alcotest.test_case "watchdog rules" `Quick test_health_unit;
           Alcotest.test_case "cluster health plane" `Quick
             test_cluster_health;
+          Alcotest.test_case "backoff watchdog sees retries" `Quick
+            test_backoff_watchdog;
         ] );
       ( "spans",
         [

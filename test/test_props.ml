@@ -100,7 +100,6 @@ let gen_message rng : Message.t =
         reply_to = gen_node rng;
         hops = Splitmix.int rng 4;
         may_activate = Splitmix.bool rng;
-        span = None;
       }
   | 1 ->
     Message.Inv_reply
@@ -319,8 +318,6 @@ let cap_roundtrip =
       | None -> Error "failed to parse")
 
 let message_roundtrip =
-  (* Generated messages carry [span = None], so structural equality is
-     exact — the codec drops spans by design. *)
   Prop.case ~name:"Message.decode (encode m) = Ok m" ~base:0xA110_0003L
     ~gen:gen_message ~show:Message.describe (fun m ->
       match Message.decode (Message.encode m) with
@@ -514,114 +511,10 @@ let delta_never_larger =
       else Error (Printf.sprintf "delta %dB vs full %dB" ds fs))
 
 (* ------------------------------------------------------------------ *)
-(* Span export JSON *)
+(* Traced envelopes *)
 
-module Span = Eden_obs.Span
 module Json = Eden_obs.Json
 module Tracectx = Eden_obs.Tracectx
-
-let gen_span_info rng =
-  let start = Splitmix.int rng 1_000_000 in
-  {
-    Span.i_id = Splitmix.int rng 100_000;
-    i_parent =
-      (if Splitmix.bool rng then Some (Splitmix.int rng 100_000) else None);
-    i_op = gen_string rng;
-    i_target = gen_string rng;
-    i_origin = Splitmix.int rng 16;
-    i_remote = Splitmix.bool rng;
-    i_outcome = (if Splitmix.bool rng then "ok" else gen_string rng);
-    i_start = Time.ns start;
-    i_finish = Time.ns (start + Splitmix.int rng 1_000_000);
-    (* Canonical order, every phase present — the shape the kernel
-       exports. *)
-    i_phases =
-      List.map
-        (fun p -> (p, Time.ns (Splitmix.int rng 500_000)))
-        Span.phases;
-  }
-
-let show_span_info i = Json.to_string ~compact:true (Span.info_to_json i)
-
-let span_info_roundtrip =
-  Prop.case ~name:"Span.info_of_json (info_to_json i) = Ok i"
-    ~base:0xA110_0008L ~gen:gen_span_info ~show:show_span_info (fun i ->
-      match Span.info_of_json (Span.info_to_json i) with
-      | Ok i' when i' = i -> Ok ()
-      | Ok i' -> Error (Printf.sprintf "decoded to %s" (show_span_info i'))
-      | Error e -> Error e)
-
-let span_json_rejects_bad_phase =
-  (* An unknown key inside [phases_ns] must fail the whole parse, not
-     be dropped: a silently short phase list would break the
-     phases-sum-to-latency invariant downstream. *)
-  Prop.case ~name:"Span.info_of_json rejects unknown phase names"
-    ~base:0xA110_0009L
-    ~gen:(fun rng ->
-      (* "p:" prefixes never collide with a real phase name. *)
-      (gen_span_info rng, "p:" ^ gen_string rng))
-    ~show:(fun (_, bad) -> bad)
-    (fun (i, bad) ->
-      let corrupted =
-        match Span.info_to_json i with
-        | Json.Obj fields ->
-          Json.Obj
-            (List.map
-               (function
-                 | "phases_ns", Json.Obj ph ->
-                   ("phases_ns", Json.Obj ((bad, Json.Int 1) :: ph))
-                 | f -> f)
-               fields)
-        | j -> j
-      in
-      match Span.info_of_json corrupted with
-      | Error _ -> Ok ()
-      | Ok _ -> Error "unknown phase name accepted")
-
-let test_span_json_missing_phases () =
-  (* Dropping phases_ns entirely is malformed, and phase durations
-     must parse as integers. *)
-  let strip = function
-    | Json.Obj fields ->
-      Json.Obj (List.filter (fun (k, _) -> k <> "phases_ns") fields)
-    | j -> j
-  in
-  let i =
-    {
-      Span.i_id = 1;
-      i_parent = None;
-      i_op = "get";
-      i_target = "obj#1";
-      i_origin = 0;
-      i_remote = false;
-      i_outcome = "ok";
-      i_start = Time.zero;
-      i_finish = Time.us 3;
-      i_phases = List.map (fun p -> (p, Time.zero)) Span.phases;
-    }
-  in
-  (match Span.info_of_json (strip (Span.info_to_json i)) with
-  | Error e ->
-    Alcotest.(check string) "missing phases_ns" "span: missing phases_ns" e
-  | Ok _ -> Alcotest.fail "parsed without phases_ns");
-  let bad_duration =
-    match Span.info_to_json i with
-    | Json.Obj fields ->
-      Json.Obj
-        (List.map
-           (function
-             | "phases_ns", Json.Obj (( k, _) :: ph) ->
-               ("phases_ns", Json.Obj ((k, Json.Str "fast") :: ph))
-             | f -> f)
-           fields)
-    | j -> j
-  in
-  match Span.info_of_json bad_duration with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-integer phase duration accepted"
-
-(* ------------------------------------------------------------------ *)
-(* Traced envelopes *)
 
 let gen_ctx rng =
   if Splitmix.bool rng then None
@@ -956,13 +849,6 @@ let () =
             test_dir_codec_hostile;
         ] );
       ("delta", [ delta_apply_roundtrip; delta_never_larger ]);
-      ( "span_json",
-        [
-          span_info_roundtrip;
-          span_json_rejects_bad_phase;
-          Alcotest.test_case "malformed phases rejected" `Quick
-            test_span_json_missing_phases;
-        ] );
       ("traced", [ traced_roundtrip ]);
       ("fault_plan", [ plan_roundtrip ]);
       ("health", [ window_merge_algebra; topk_error_bounds ]);
