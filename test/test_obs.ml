@@ -1,6 +1,6 @@
-(* Tests for the observability library: metrics registry, invocation
-   spans, JSON snapshots, and the kernel's instrumentation of the
-   invocation path. *)
+(* Tests for the observability library: metrics registry, health
+   plane, JSON snapshots, journals and latency attribution, and the
+   kernel's instrumentation of the invocation path. *)
 
 open Eden_util
 open Eden_sim
