@@ -257,6 +257,13 @@ let apply_fault net ~src ~dst ~msgs ?(items = []) transmit =
       emit_wire net (Wv_hold { src; dst; by = d; items });
       Engine.schedule net.eng ~after:d transmit)
 
+(* [apply_fault] for one payload.  Only an injector's [Delay] verdict
+   reads [items], so the list is built only when an injector is armed. *)
+let apply_fault_one net ~src ~dst payload transmit =
+  match net.injector with
+  | None -> transmit ()
+  | Some _ -> apply_fault net ~src ~dst ~msgs:1 ~items:[ payload ] transmit
+
 let transmit_unicast ep ~dst cargo =
   let net = ep.ep_net in
   let seg, local = net.directory.(dst) in
@@ -308,36 +315,41 @@ let flush ep =
   let dsts = Hashtbl.fold (fun d _ acc -> d :: acc) ep.ep_queues [] in
   List.iter (flush_to ep) (List.sort Int.compare dsts)
 
+(* Loopback: the wire never sees the message, so the coalescing queue
+   is bypassed too.  Delivery is still asynchronous (next engine step)
+   so callers observe the same send-then-return discipline as for
+   remote destinations. *)
+let loopback ep payload =
+  let net = ep.ep_net in
+  let g = ep.ep_global in
+  apply_fault_one net ~src:g ~dst:(Some g) payload (fun () ->
+      Engine.schedule net.eng (fun () ->
+          if Msglink.is_up ep.ep_link then
+            match ep.ep_handler with
+            | Some f -> f ~src:g payload
+            | None -> ()))
+
+(* One payload alone on the wire to [dst]. *)
+let unicast_one ep ~dst payload =
+  apply_fault_one ep.ep_net ~src:ep.ep_global ~dst:(Some dst) payload
+    (fun () -> transmit_unicast ep ~dst (One payload))
+
 let send ep ~dst payload =
   let net = ep.ep_net in
   if dst < 0 || dst >= Array.length net.directory then
     invalid_arg "Internet.send: unknown destination";
   if dst = ep.ep_global then
-    (* Loopback: the wire never sees the message, so the coalescing
-       queue is bypassed too.  Delivery is still asynchronous (next
-       engine step) so callers observe the same send-then-return
-       discipline as for remote destinations. *)
-    apply_fault net ~src:ep.ep_global ~dst:(Some dst) ~msgs:1
-      ~items:[ payload ] (fun () ->
-        Engine.schedule net.eng (fun () ->
-            if Msglink.is_up ep.ep_link then
-              match ep.ep_handler with
-              | Some f -> f ~src:ep.ep_global payload
-              | None -> ()))
+    loopback ep payload
   else
     match net.coalesce with
-    | None ->
-      apply_fault net ~src:ep.ep_global ~dst:(Some dst) ~msgs:1
-        ~items:[ payload ] (fun () -> transmit_unicast ep ~dst (One payload))
+    | None -> unicast_one ep ~dst payload
     | Some co ->
       let sz = net.size payload in
       if sz >= co.co_max_bytes then begin
         (* Oversized messages travel alone; flushing first preserves
            per-destination FIFO order. *)
         flush_to ep dst;
-        apply_fault net ~src:ep.ep_global ~dst:(Some dst) ~msgs:1
-          ~items:[ payload ] (fun () ->
-            transmit_unicast ep ~dst (One payload))
+        unicast_one ep ~dst payload
       end
       else begin
         let pb =
@@ -375,24 +387,16 @@ let send_now ep ~dst payload =
   if dst < 0 || dst >= Array.length net.directory then
     invalid_arg "Internet.send_now: unknown destination";
   if dst = ep.ep_global then
-    apply_fault net ~src:ep.ep_global ~dst:(Some dst) ~msgs:1
-      ~items:[ payload ] (fun () ->
-        Engine.schedule net.eng (fun () ->
-            if Msglink.is_up ep.ep_link then
-              match ep.ep_handler with
-              | Some f -> f ~src:ep.ep_global payload
-              | None -> ()))
+    loopback ep payload
   else begin
     flush_to ep dst;
-    apply_fault net ~src:ep.ep_global ~dst:(Some dst) ~msgs:1
-      ~items:[ payload ] (fun () -> transmit_unicast ep ~dst (One payload))
+    unicast_one ep ~dst payload
   end
 
 let broadcast ep payload =
   (* A broadcast is a barrier: anything queued must not overtake it. *)
   flush ep;
-  apply_fault ep.ep_net ~src:ep.ep_global ~dst:None ~msgs:1
-    ~items:[ payload ] (fun () ->
+  apply_fault_one ep.ep_net ~src:ep.ep_global ~dst:None payload (fun () ->
       Msglink.broadcast ep.ep_link
         { env_src = ep.ep_global; env_dst = None; env_bridged = false;
           env_cargo = One payload })

@@ -23,24 +23,44 @@ type counters = {
   backoffs : int;
 }
 
+(* What a station's next step does.  Every phase but [Parked] has the
+   step queued, or the station waiting in the lan's [window] or
+   [sensing] queue for a close or a release to queue it. *)
+type phase =
+  | Boot  (** take the head of the transmit queue, if any *)
+  | Parked  (** queue empty, nothing queued: the next {!send} boots *)
+  | Sense  (** carrier sense: join the window, or wait for a release *)
+  | Resolve  (** the window closed: transmit, back off or drop *)
+  | Finish  (** the frame has left: release the medium, deliver *)
+
+(* The MAC runs as one state machine per station, driven by engine
+   callbacks.  The head of [st_tx] is the frame being transmitted; it
+   leaves the queue once sent or dropped.  [st_step], made at attach, is
+   the only callback a station ever queues. *)
 type 'a station = {
   st_lan : 'a t;
   st_addr : int;
   st_name : string;
-  st_tx : 'a frame Mailbox.t;
+  st_tx : 'a frame Fifo.t;
+  mutable st_phase : phase;
+  mutable st_attempt : int;
+  mutable st_won : bool;
+  st_step : unit -> unit;
   mutable st_receive : ('a frame -> unit) option;
 }
-
-and 'a contender = { c_addr : int; mutable c_won : bool; c_h : Engine.handle }
 
 and 'a t = {
   eng : Engine.t;
   prm : Params.t;
   rng : Splitmix.t;
   mutable stations : 'a station array;
-  idle_cond : Condition.t;
   mutable state : medium_state;
-  mutable window : 'a contender list;  (** contenders in the open window *)
+  window : 'a station Fifo.t;  (** contenders in the open window *)
+  sensing : 'a station Fifo.t;  (** waiting for the medium to go idle *)
+  in_flight : 'a frame Fifo.t;  (** sent, not yet delivered *)
+  on_close : unit -> unit;
+  on_release : unit -> unit;
+  on_arrive : unit -> unit;
   mutable busy : Time.t;
   mutable c_sent : int;
   mutable c_broadcast : int;
@@ -51,27 +71,6 @@ and 'a t = {
   mutable c_backoffs : int;
   latencies : Stats.t;
 }
-
-let create ?(params = Params.default) eng =
-  Params.validate params;
-  {
-    eng;
-    prm = params;
-    rng = Engine.fork_rng eng;
-    stations = [||];
-    idle_cond = Condition.create eng;
-    state = Idle;
-    window = [];
-    busy = Time.zero;
-    c_sent = 0;
-    c_broadcast = 0;
-    c_delivered = 0;
-    c_dropped = 0;
-    c_bytes = 0;
-    c_collisions = 0;
-    c_backoffs = 0;
-    latencies = Stats.create ();
-  }
 
 let params lan = lan.prm
 let engine lan = lan.eng
@@ -87,117 +86,166 @@ let deliver lan frame addr =
   Stats.add_time lan.latencies (Time.diff (Engine.now lan.eng) frame.sent_at);
   match st.st_receive with None -> () | Some f -> f frame
 
-let schedule_delivery lan frame =
-  Engine.schedule lan.eng ~after:lan.prm.prop_delay (fun () ->
-      match frame.dest with
-      | Unicast a -> deliver lan frame a
-      | Broadcast ->
-        Array.iter
-          (fun st -> if st.st_addr <> frame.src then deliver lan frame st.st_addr)
-          lan.stations)
+(* [prop_delay] is constant, so frames arrive in the order they left:
+   each arrival event takes the head of [in_flight]. *)
+let arrive lan =
+  let frame = Fifo.pop_exn lan.in_flight in
+  match frame.dest with
+  | Unicast a -> deliver lan frame a
+  | Broadcast ->
+    let stations = lan.stations in
+    for a = 0 to Array.length stations - 1 do
+      if a <> frame.src then deliver lan frame a
+    done
 
-(* The window-close event: decide who owns the medium. *)
+(* The medium goes idle: every station waiting on carrier sense senses
+   again, in the order it began waiting. *)
+let release lan =
+  lan.state <- Idle;
+  while not (Fifo.is_empty lan.sensing) do
+    Engine.schedule lan.eng (Fifo.pop_exn lan.sensing).st_step
+  done
+
+(* The window-close event: decide who owns the medium.  A window opens
+   only when a station joins it, so it is never empty here. *)
 let close_window lan =
-  let contenders = lan.window in
-  lan.window <- [];
-  match contenders with
-  | [] ->
-    (* All contenders were killed before the window closed. *)
-    lan.state <- Idle;
-    Condition.broadcast lan.idle_cond
-  | [ c ] ->
-    c.c_won <- true;
-    lan.state <- Busy;
-    Engine.wake lan.eng c.c_h
-  | several ->
+  let first = Fifo.pop_exn lan.window in
+  lan.state <- Busy;
+  if Fifo.is_empty lan.window then begin
+    first.st_won <- true;
+    Engine.schedule lan.eng first.st_step
+  end
+  else begin
     lan.c_collisions <- lan.c_collisions + 1;
-    lan.state <- Busy;
-    Engine.schedule lan.eng ~after:lan.prm.jam (fun () ->
-        lan.state <- Idle;
-        Condition.broadcast lan.idle_cond);
-    List.iter (fun c -> Engine.wake lan.eng c.c_h) several
+    Engine.schedule lan.eng ~after:lan.prm.jam lan.on_release;
+    Engine.schedule lan.eng first.st_step;
+    while not (Fifo.is_empty lan.window) do
+      Engine.schedule lan.eng (Fifo.pop_exn lan.window).st_step
+    done
+  end
 
-(* The MAC protocol, run by a station's transmitter process for one
-   frame.  Returns [true] on successful transmission. *)
-let rec mac_transmit lan st frame ~attempt =
-  (* Carrier sense. *)
-  (match lan.state with
-  | Busy ->
-    ignore (Condition.await lan.idle_cond);
-    ()
-  | Idle | Contending -> ());
+let contend lan st =
+  st.st_won <- false;
+  st.st_phase <- Resolve;
+  Fifo.push_exn lan.window st
+
+(* Carrier sense for the frame at the head of [st_tx]: wait while the
+   medium is busy, otherwise contend in the current window (opening
+   one if the medium is idle). *)
+let sense lan st =
   match lan.state with
-  | Busy -> mac_transmit lan st frame ~attempt (* lost the race; sense again *)
-  | Idle | Contending ->
-    if lan.state = Idle then begin
-      lan.state <- Contending;
-      Engine.schedule lan.eng ~after:lan.prm.slot (fun () -> close_window lan)
-    end;
-    let cell = ref None in
-    (match
-       Engine.suspend (fun h ->
-           let c = { c_addr = st.st_addr; c_won = false; c_h = h } in
-           cell := Some c;
-           lan.window <- lan.window @ [ c ])
-     with
-    | Engine.Timed_out -> assert false (* no timeout was requested *)
-    | Engine.Woken -> ());
-    let won = match !cell with Some c -> c.c_won | None -> false in
-    if won then begin
-      (* The contention slot already elapsed; occupy the medium for the
-         remainder of the frame, then release it and deliver. *)
-      let ft = Params.frame_time lan.prm ~payload_bytes:frame.bytes in
-      let remainder =
-        if Time.(ft > lan.prm.slot) then Time.diff ft lan.prm.slot
-        else Time.zero
-      in
-      Engine.delay remainder;
-      lan.busy <- Time.add lan.busy ft;
-      lan.state <- Idle;
-      Condition.broadcast lan.idle_cond;
-      schedule_delivery lan frame;
-      true
-    end
-    else if attempt >= lan.prm.max_attempts then begin
-      lan.c_dropped <- lan.c_dropped + 1;
-      false
-    end
-    else begin
-      lan.c_backoffs <- lan.c_backoffs + 1;
-      let exponent = Stdlib.min attempt lan.prm.backoff_limit in
-      let window_slots = (1 lsl exponent) - 1 in
-      let k = if window_slots = 0 then 0 else Splitmix.int lan.rng (window_slots + 1) in
-      Engine.delay (Time.scale lan.prm.slot k);
-      mac_transmit lan st frame ~attempt:(attempt + 1)
-    end
+  | Busy ->
+    st.st_phase <- Sense;
+    Fifo.push_exn lan.sensing st
+  | Contending -> contend lan st
+  | Idle ->
+    lan.state <- Contending;
+    Engine.schedule lan.eng ~after:lan.prm.slot lan.on_close;
+    contend lan st
 
-let transmitter_loop lan st () =
-  let rec loop () =
-    match Mailbox.recv st.st_tx with
-    | None -> loop () (* no timeout requested; cannot happen *)
-    | Some frame ->
-      ignore (mac_transmit lan st frame ~attempt:1);
-      loop ()
+let take_next lan st =
+  if Fifo.is_empty st.st_tx then st.st_phase <- Parked
+  else begin
+    st.st_attempt <- 1;
+    sense lan st
+  end
+
+let head_frame_time lan st =
+  match Fifo.peek st.st_tx with
+  | Some frame -> Params.frame_time lan.prm ~payload_bytes:frame.bytes
+  | None -> assert false
+
+let resolve lan st =
+  if st.st_won then begin
+    (* The contention slot already elapsed; occupy the medium for the
+       remainder of the frame. *)
+    let ft = head_frame_time lan st in
+    let remainder =
+      if Time.(ft > lan.prm.slot) then Time.diff ft lan.prm.slot
+      else Time.zero
+    in
+    st.st_phase <- Finish;
+    Engine.schedule lan.eng ~after:remainder st.st_step
+  end
+  else if st.st_attempt >= lan.prm.max_attempts then begin
+    lan.c_dropped <- lan.c_dropped + 1;
+    ignore (Fifo.pop_exn st.st_tx);
+    take_next lan st
+  end
+  else begin
+    lan.c_backoffs <- lan.c_backoffs + 1;
+    let exponent = Stdlib.min st.st_attempt lan.prm.backoff_limit in
+    let window_slots = (1 lsl exponent) - 1 in
+    let k =
+      if window_slots = 0 then 0 else Splitmix.int lan.rng (window_slots + 1)
+    in
+    st.st_attempt <- st.st_attempt + 1;
+    st.st_phase <- Sense;
+    Engine.schedule lan.eng ~after:(Time.scale lan.prm.slot k) st.st_step
+  end
+
+let finish lan st =
+  lan.busy <- Time.add lan.busy (head_frame_time lan st);
+  release lan;
+  Fifo.push_exn lan.in_flight (Fifo.pop_exn st.st_tx);
+  Engine.schedule lan.eng ~after:lan.prm.prop_delay lan.on_arrive;
+  take_next lan st
+
+let step lan st =
+  match st.st_phase with
+  | Boot -> take_next lan st
+  | Sense -> sense lan st
+  | Resolve -> resolve lan st
+  | Finish -> finish lan st
+  | Parked -> assert false (* a parked station has nothing queued *)
+
+let create ?(params = Params.default) eng =
+  Params.validate params;
+  let rec lan =
+    {
+      eng;
+      prm = params;
+      rng = Engine.fork_rng eng;
+      stations = [||];
+      state = Idle;
+      window = Fifo.create ();
+      sensing = Fifo.create ();
+      in_flight = Fifo.create ();
+      on_close = (fun () -> close_window lan);
+      on_release = (fun () -> release lan);
+      on_arrive = (fun () -> arrive lan);
+      busy = Time.zero;
+      c_sent = 0;
+      c_broadcast = 0;
+      c_delivered = 0;
+      c_dropped = 0;
+      c_bytes = 0;
+      c_collisions = 0;
+      c_backoffs = 0;
+      latencies = Stats.create ();
+    }
   in
-  loop ()
+  lan
 
 let attach lan ~name =
   let addr = Array.length lan.stations in
-  let st =
+  let rec st =
     {
       st_lan = lan;
       st_addr = addr;
       st_name = name;
-      st_tx = Mailbox.create lan.eng;
+      st_tx = Fifo.create ();
+      st_phase = Boot;
+      st_attempt = 0;
+      st_won = false;
+      st_step = (fun () -> step lan st);
       st_receive = None;
     }
   in
   lan.stations <- Array.append lan.stations [| st |];
-  let pid =
-    Engine.spawn lan.eng ~name:(Printf.sprintf "tx:%s" name)
-      (transmitter_loop lan st)
-  in
-  Engine.set_daemon lan.eng pid;
+  (* Boot at the attach instant: frames sent before the engine next
+     runs are taken up then, behind events already queued. *)
+  Engine.schedule lan.eng st.st_step;
   st
 
 let send st ~dest ~bytes payload =
@@ -211,12 +259,13 @@ let send st ~dest ~bytes payload =
       invalid_arg "Lan.send: no such station"
   | Broadcast -> lan.c_broadcast <- lan.c_broadcast + 1);
   lan.c_sent <- lan.c_sent + 1;
-  let frame =
-    { src = st.st_addr; dest; bytes; payload; sent_at = Engine.now lan.eng }
-  in
-  let accepted = Mailbox.try_send st.st_tx frame in
-  (* The transmit queue is unbounded, so acceptance cannot fail. *)
-  assert accepted
+  Fifo.push_exn st.st_tx
+    { src = st.st_addr; dest; bytes; payload; sent_at = Engine.now lan.eng };
+  match st.st_phase with
+  | Parked ->
+    st.st_phase <- Boot;
+    Engine.schedule lan.eng st.st_step
+  | Boot | Sense | Resolve | Finish -> ()
 
 let counters lan =
   {

@@ -7,9 +7,11 @@
     backoff window and tries again.  A frame is dropped after
     [max_attempts] failures.
 
-    Each attached station owns an unbounded transmit queue drained by a
-    background transmitter process, so {!send} never blocks the caller.
-    Delivery invokes the receiver callback registered with
+    Each attached station owns an unbounded transmit queue, so {!send}
+    never blocks the caller.  The MAC runs no process: each station is
+    a state machine stepped by engine callbacks.  A frame allocates a
+    small constant amount: its record, its queue cells and its latency
+    sample.  Delivery invokes the receiver callback registered with
     {!on_receive} one propagation delay after the frame leaves the
     wire; the callback must not block (hand the frame to a mailbox for
     real work).

@@ -29,24 +29,28 @@ type 'm t = {
 
 let max_chunk lan = (Lan.params lan).Params.max_frame_bytes
 
+let hand_up tp ~src msg =
+  tp.received <- tp.received + 1;
+  match tp.handler with Some f -> f ~src msg | None -> ()
+
+(* A single-fragment message skips the reassembly table: only non-final
+   fragments make an entry there. *)
 let deliver tp frame =
   let p = frame.Lan.payload in
+  let src = frame.Lan.src in
   if not tp.up then tp.discarded <- tp.discarded + 1
-  else begin
-    let key = { k_src = frame.Lan.src; k_msg = p.pk_msg_id } in
-    let seen = Option.value ~default:0 (Hashtbl.find_opt tp.partial key) in
+  else
     match p.pk_content with
-    | None -> Hashtbl.replace tp.partial key (seen + 1)
-    | Some msg ->
-      Hashtbl.remove tp.partial key;
-      if seen = p.pk_total - 1 then begin
-        tp.received <- tp.received + 1;
-        match tp.handler with
-        | Some f -> f ~src:frame.Lan.src msg
-        | None -> ()
-      end
-      else tp.discarded <- tp.discarded + seen + 1
-  end
+    | Some msg when p.pk_total = 1 -> hand_up tp ~src msg
+    | content -> (
+      let key = { k_src = src; k_msg = p.pk_msg_id } in
+      let seen = Option.value ~default:0 (Hashtbl.find_opt tp.partial key) in
+      match content with
+      | None -> Hashtbl.replace tp.partial key (seen + 1)
+      | Some msg ->
+        Hashtbl.remove tp.partial key;
+        if seen = p.pk_total - 1 then hand_up tp ~src msg
+        else tp.discarded <- tp.discarded + seen + 1)
 
 let attach lan ~name ~size =
   let station = Lan.attach lan ~name in

@@ -43,11 +43,16 @@ let stddev s =
 let ensure_nonempty s fn =
   if s.size = 0 then invalid_arg (Printf.sprintf "Stats.%s: empty sample" fn)
 
+(* A full array is sorted where it lies; otherwise the spare capacity
+   must stay out of the sort, so the live prefix goes through a copy. *)
 let ensure_sorted s =
   if not s.sorted then begin
-    let live = Array.sub s.samples 0 s.size in
-    Array.sort Float.compare live;
-    Array.blit live 0 s.samples 0 s.size;
+    if s.size = Array.length s.samples then Array.sort Float.compare s.samples
+    else begin
+      let live = Array.sub s.samples 0 s.size in
+      Array.sort Float.compare live;
+      Array.blit live 0 s.samples 0 s.size
+    end;
     s.sorted <- true
   end
 
@@ -75,15 +80,18 @@ let percentile s p =
 
 let median s = percentile s 50.0
 
+(* Sized once, so a merge of large samples allocates its result and
+   nothing else; the result is full, so its first sort copies nothing.
+   An empty result takes [create]'s capacity: [add] doubles it. *)
 let merge a b =
-  let m = create () in
-  for i = 0 to a.size - 1 do
-    add m a.samples.(i)
-  done;
-  for i = 0 to b.size - 1 do
-    add m b.samples.(i)
-  done;
-  m
+  let size = a.size + b.size in
+  if size = 0 then create ()
+  else begin
+    let samples = Array.make size 0.0 in
+    Array.blit a.samples 0 samples 0 a.size;
+    Array.blit b.samples 0 samples a.size b.size;
+    { samples; size; sorted = false }
+  end
 
 let pp_summary ppf s =
   if s.size = 0 then Format.pp_print_string ppf "n=0"

@@ -826,7 +826,7 @@ let pinned_digests =
       [
         ("summary.txt", "c40d3f52bda3fe9853aaaaec1461aa63");
         ("plan.txt", "7244cb69408f5a11a029d32fe2c538fd");
-        ("metrics.json", "c750ba32e5f8c0dab36e851289a18ce1");
+        ("metrics.json", "969446c5aff9ff74239ebd66d0845109");
         ("timeline.json", "a6138f7638a821cf0ffcf227a914682f");
         ("timeline.txt", "c4acbb401427289d7205df3ebb008c78");
         ("profile.txt", "3a37fc8a206d4962c08c285db8d5e167");
@@ -842,7 +842,7 @@ let pinned_digests =
       [
         ("summary.txt", "87394215b2b6a84173305998fe6cfd4a");
         ("plan.txt", "7244cb69408f5a11a029d32fe2c538fd");
-        ("metrics.json", "43e1d80c23e7a375ccde81b31c480e6d");
+        ("metrics.json", "2f67111db4e016dd3723cfbe5a5fd989");
         ("timeline.json", "e1d414b1f9084cb03f2dd9bbd9bdd529");
         ("timeline.txt", "5d667640df4626d958e2085e56a0dfa5");
         ("profile.txt", "879dcecb6030ff7a597f2559647e150a");

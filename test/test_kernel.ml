@@ -734,7 +734,7 @@ let test_cluster_deterministic () =
    object on node 1, after a first call has located it.  Allocation is
    deterministic for a given build, so the figure is exact and the
    bound sits about 15% above it. *)
-let words_per_invocation_bound = 1_130.0
+let words_per_invocation_bound = 952.0
 
 let test_words_per_remote_invocation () =
   let tm = Eden_workload.Synthetic.worker_type in

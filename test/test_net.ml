@@ -215,6 +215,105 @@ let test_latency_stats_populated () =
   (* The first frame sees no queueing: 72us + 5us. *)
   Alcotest.(check (float 1e-9)) "min latency" 77e-6 (Stats.min_value s)
 
+(* A pinned schedule: six stations, seeded unicasts and broadcasts of
+   random sizes at random instants, a dozen of them queued before the
+   engine first runs, and some receivers replying from inside the
+   delivery callback.  [max_attempts = 3] under this load drops frames.
+   The digest covers every delivery as (payload, receiving station,
+   instant), so any change to the MAC's event order, timing or random
+   draws shows here; so does any change in the engine events it costs. *)
+let test_golden_schedule () =
+  let params = { Params.default with Params.max_attempts = 3 } in
+  let eng = Engine.create ~seed:2024L () in
+  let lan, sts = make_lan ~params ~n:6 eng in
+  let log = Buffer.create 16_384 in
+  Array.iter
+    (fun st ->
+      Lan.on_receive st (fun f ->
+          let p = f.Lan.payload in
+          Printf.bprintf log "%d>%d@%d;" p (Lan.address st)
+            (Time.to_ns (Engine.now eng));
+          match f.Lan.dest with
+          | Lan.Unicast _ when p < 1_000 && p mod 5 = 0 ->
+            Lan.send st ~dest:(Lan.Unicast f.Lan.src) ~bytes:64 (p + 1_000)
+          | Lan.Unicast _ | Lan.Broadcast -> ()))
+    sts;
+  let rng = Splitmix.create 17L in
+  let draw () =
+    let src = Splitmix.int rng 6 in
+    let bytes = Splitmix.int rng 1_519 in
+    let dest =
+      if Splitmix.int rng 5 = 0 then Lan.Broadcast
+      else Lan.Unicast ((src + 1 + Splitmix.int rng 5) mod 6)
+    in
+    (src, dest, bytes)
+  in
+  for i = 0 to 11 do
+    let src, dest, bytes = draw () in
+    Lan.send sts.(src) ~dest ~bytes i
+  done;
+  for i = 12 to 299 do
+    let src, dest, bytes = draw () in
+    Engine.schedule eng ~after:(Time.us (Splitmix.int rng 150_000)) (fun () ->
+        Lan.send sts.(src) ~dest ~bytes i)
+  done;
+  Engine.run eng;
+  let c = Lan.counters lan in
+  check_bool "some frames dropped" true (c.Lan.frames_dropped > 0);
+  Alcotest.(check string)
+    "delivery digest" "eb1655d970f6246b1e5f4c171f8978dc"
+    (Digest.to_hex (Digest.string (Buffer.contents log)));
+  Alcotest.(check (list int))
+    "sent, broadcast, delivered, dropped, bytes, collisions, backoffs"
+    [ 326; 57; 272; 162; 188_360; 233; 417 ]
+    [
+      c.Lan.frames_sent;
+      c.Lan.frames_broadcast;
+      c.Lan.frames_delivered;
+      c.Lan.frames_dropped;
+      c.Lan.payload_bytes_delivered;
+      c.Lan.collision_events;
+      c.Lan.backoffs;
+    ];
+  check_int "engine events" 3_001 (Engine.events_processed eng);
+  check_int "final instant" 149_773_000 (Time.to_ns (Engine.now eng))
+
+(* The MAC's own cost: minor words per unicast frame on an idle LAN,
+   from [send] through delivery.  Two stations play ping-pong, each
+   frame sent from the delivery of the one before, so the medium is
+   idle whenever a frame starts.  Allocation is deterministic for a
+   given build, so the figure is exact and the bound sits about 15%
+   above it. *)
+let words_per_frame_bound = 23.0
+
+let test_words_per_frame () =
+  let eng = Engine.create () in
+  let _, sts = make_lan eng in
+  let left = ref 0 in
+  let back = [| Lan.Unicast 1; Lan.Unicast 0 |] in
+  Array.iter
+    (fun st ->
+      Lan.on_receive st (fun _ ->
+          if !left > 0 then begin
+            decr left;
+            Lan.send st ~dest:back.(Lan.address st) ~bytes:64 ()
+          end))
+    sts;
+  let volley frames =
+    left := frames - 1;
+    Lan.send sts.(0) ~dest:back.(0) ~bytes:64 ();
+    Engine.run eng
+  in
+  volley 1_000;
+  let frames = 10_000 in
+  let before = Gc.minor_words () in
+  volley frames;
+  let words = (Gc.minor_words () -. before) /. float_of_int frames in
+  Printf.printf "minor words per unicast frame: %.1f\n" words;
+  if words > words_per_frame_bound then
+    Alcotest.failf "%.1f minor words per unicast frame, bound %.1f" words
+      words_per_frame_bound
+
 let prop_all_frames_accounted =
   QCheck.Test.make ~name:"sent = delivered + dropped (unicast)" ~count:25
     QCheck.(pair (int_range 2 6) (int_range 1 60))
@@ -723,6 +822,8 @@ let () =
           Alcotest.test_case "saturation" `Quick test_saturation_throughput;
           Alcotest.test_case "latency stats" `Quick
             test_latency_stats_populated;
+          Alcotest.test_case "golden schedule" `Quick test_golden_schedule;
+          Alcotest.test_case "words per frame" `Quick test_words_per_frame;
           qt prop_all_frames_accounted;
         ] );
       ( "msglink",

@@ -366,6 +366,34 @@ let test_stats_merge_preserves_samples () =
   check_int "merge with empty" 2 (Stats.count e);
   Alcotest.(check (float 1e-9)) "empty merge mean" 3.0 (Stats.mean e)
 
+(* A merge of two large samples reads exactly like one statistic fed
+   the same samples in the same order, and keeps accepting samples. *)
+let test_stats_merge_large () =
+  let rng = Splitmix.create 31L in
+  let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
+  List.iter
+    (fun s ->
+      for _ = 1 to 10_000 do
+        let x = Splitmix.float rng 1.0 in
+        Stats.add s x;
+        Stats.add whole x
+      done)
+    [ a; b ];
+  let m = Stats.merge a b in
+  let same what f =
+    Alcotest.(check (float 0.0)) what (f whole) (f m)
+  in
+  check_int "count" (Stats.count whole) (Stats.count m);
+  same "total" Stats.total;
+  same "min" Stats.min_value;
+  same "max" Stats.max_value;
+  List.iter
+    (fun p -> same (Printf.sprintf "p%g" p) (fun s -> Stats.percentile s p))
+    [ 50.0; 99.0; 99.9 ];
+  Stats.add m 2.0;
+  check_int "grows after merge" 20_001 (Stats.count m);
+  Alcotest.(check (float 0.0)) "new max" 2.0 (Stats.max_value m)
+
 let test_histogram_edges () =
   let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
   (* The range is half-open [lo, hi): lo itself is in-range, hi is
@@ -521,6 +549,8 @@ let () =
             test_stats_percentile_boundaries;
           Alcotest.test_case "merge preserves samples" `Quick
             test_stats_merge_preserves_samples;
+          Alcotest.test_case "merge of large samples" `Quick
+            test_stats_merge_large;
           Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
           Alcotest.test_case "add after sort" `Quick test_stats_add_after_sort;
           Alcotest.test_case "histogram" `Quick test_histogram;
