@@ -1,5 +1,8 @@
 # Convenience targets; everything is plain dune underneath.
-# `make help` lists them.
+# `make help` lists them.  Files the targets write go under .ci_out/ in
+# the checkout (git-ignored), so two checkouts can run them at once.
+
+CI_OUT = .ci_out
 
 .PHONY: all build check ci test test-props bench examples smoke gates \
   bench-check determinism clean help
@@ -9,7 +12,7 @@ all: build
 help:
 	@echo "make build        - dune build @all"
 	@echo "make test         - run every alcotest suite (same-seed bundle gates included)"
-	@echo "make test-props   - seeded property tests only (codecs, plans, laws)"
+	@echo "make test-props   - seeded property tests only (text forms, plans, laws)"
 	@echo "make check        - build + tests + metrics smoke"
 	@echo "make ci           - the full gate: check, gates, determinism, bench-check"
 	@echo "make gates        - E22-E25 smokes, reconfig cmp, props x3 seed offsets"
@@ -29,9 +32,10 @@ build:
 test:
 	dune runtest --force
 
-# Just the seeded property tests: round-trips for the Name / Capability /
-# Message codecs and the Fault.Plan text format, plus the reliability
-# and capability-restriction laws (100 seeds each, greedy shrinking).
+# Just the seeded property tests: round-trips for the Name / Capability
+# text forms and the Fault.Plan text format, plus the delta, health
+# window, top-k and directory-ring laws (100 seeds each, greedy
+# shrinking).
 test-props:
 	dune exec test/test_props.exe
 
@@ -41,9 +45,10 @@ test-props:
 check:
 	dune build @all
 	dune runtest --force
+	mkdir -p $(CI_OUT)
 	dune exec bin/edenctl.exe -- synth --nodes 3 --requests 50 \
-	  --metrics-out /tmp/eden_metrics_smoke.json
-	dune exec bin/edenctl.exe -- metrics-check /tmp/eden_metrics_smoke.json
+	  --metrics-out $(CI_OUT)/metrics_smoke.json
+	dune exec bin/edenctl.exe -- metrics-check $(CI_OUT)/metrics_smoke.json
 	@echo "check: OK"
 
 ci: check gates determinism bench-check
@@ -60,14 +65,15 @@ GATES = \
   "dune exec bench/main.exe -- E23 --smoke" \
   "dune exec bench/main.exe -- E24 --smoke" \
   "dune exec bench/main.exe -- E25 --smoke" \
-  "dune exec bin/edenctl.exe -- reconfig --nodes 4 --spares 1 --seed 11 --metrics-out /tmp/eden_reconfig_a.json" \
-  "dune exec bin/edenctl.exe -- reconfig --nodes 4 --spares 1 --seed 11 --metrics-out /tmp/eden_reconfig_b.json" \
-  "cmp /tmp/eden_reconfig_a.json /tmp/eden_reconfig_b.json" \
+  "dune exec bin/edenctl.exe -- reconfig --nodes 4 --spares 1 --seed 11 --metrics-out $(CI_OUT)/reconfig_a.json" \
+  "dune exec bin/edenctl.exe -- reconfig --nodes 4 --spares 1 --seed 11 --metrics-out $(CI_OUT)/reconfig_b.json" \
+  "cmp $(CI_OUT)/reconfig_a.json $(CI_OUT)/reconfig_b.json" \
   "env EDEN_PROP_SEED_OFFSET=0 dune exec test/test_props.exe" \
   "env EDEN_PROP_SEED_OFFSET=271828 dune exec test/test_props.exe" \
   "env EDEN_PROP_SEED_OFFSET=3141592 dune exec test/test_props.exe"
 
 gates:
+	@mkdir -p $(CI_OUT)
 	@for g in $(GATES); do echo "+ $$g"; sh -c "$$g" || exit 1; done
 	@echo "gates: OK"
 
@@ -98,11 +104,12 @@ examples:
 
 # Exercise the CLI end to end.
 smoke:
+	mkdir -p $(CI_OUT)
 	dune exec bin/edenctl.exe -- info
 	dune exec bin/edenctl.exe -- demo --nodes 4
 	dune exec bin/edenctl.exe -- heartbeat --nodes 3 --kill 1
 	dune exec bin/edenctl.exe -- efs --txns 6 --optimistic
-	dune exec bin/edenctl.exe -- run --nodes 5 --seed 11 --out /tmp/eden_run
+	dune exec bin/edenctl.exe -- run --nodes 5 --seed 11 --out $(CI_OUT)/run
 	printf 'mk doc d\nappend d hello\nshow d\nquit\n' | \
 	  dune exec bin/edenctl.exe -- edit --nodes 2
 
@@ -113,10 +120,12 @@ smoke:
 DETERMINISM = E1 E5 E9 E19 E22 E23 E24
 
 determinism:
-	dune exec bench/main.exe -- $(DETERMINISM) > /tmp/eden_bench_a.txt 2>&1
-	dune exec bench/main.exe -- $(DETERMINISM) > /tmp/eden_bench_b.txt 2>&1
-	diff /tmp/eden_bench_a.txt /tmp/eden_bench_b.txt
+	mkdir -p $(CI_OUT)
+	dune exec bench/main.exe -- $(DETERMINISM) > $(CI_OUT)/bench_a.txt 2>&1
+	dune exec bench/main.exe -- $(DETERMINISM) > $(CI_OUT)/bench_b.txt 2>&1
+	diff $(CI_OUT)/bench_a.txt $(CI_OUT)/bench_b.txt
 	@echo "deterministic: OK"
 
 clean:
 	dune clean
+	rm -rf $(CI_OUT)

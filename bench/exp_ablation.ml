@@ -54,7 +54,7 @@ let scenario options =
       round steady;
       round steady;
       round steady;
-      let frames = Transport.frames_delivered (Cluster.network cl) in
+      let frames = Eden_net.Internet.frames_delivered (Cluster.network cl) in
       (Stats.mean warm, Stats.mean first, Stats.mean steady, frames))
 
 let location_table () =

@@ -55,7 +55,7 @@ let read_experiment ~use_cache ~iters =
    without coalescing: the requests queue faster than the wire drains
    them, so with batching many ride one frame. *)
 let burst_experiment ~coalesce ~burst =
-  let coalesce = if coalesce then Some Transport.default_coalesce else None in
+  let coalesce = if coalesce then Some Eden_net.Internet.default_coalesce else None in
   let cl = fresh_cluster ?coalesce ~n:nodes () in
   let net = Cluster.network cl in
   drive cl (fun () ->
@@ -75,9 +75,9 @@ let burst_experiment ~coalesce ~burst =
             List.iter (fun p -> ignore (Promise.await p)) ps)
       in
       ( d,
-        Transport.frames_delivered net,
-        Transport.coalesced_batches net,
-        Transport.coalesced_messages net ))
+        Eden_net.Internet.frames_delivered net,
+        Eden_net.Internet.coalesced_batches net,
+        Eden_net.Internet.coalesced_messages net ))
 
 (* [--trace-out FILE] (set by main.ml): export the cache-on run's
    assembled cross-node timeline as a Chrome trace. *)

@@ -111,7 +111,7 @@ let replication_table () =
         [
           label;
           Table.cell_time makespan;
-          Table.cell_int (Transport.bridge_forwards (Cluster.network cl));
+          Table.cell_int (Eden_net.Internet.bridge_forwards (Cluster.network cl));
         ])
     [
       ("single copy across the bridge", false);

@@ -144,7 +144,7 @@ let cluster_options ?(clone = false) ?(hedge = false) ?(directory = false)
   }
 
 let cluster_coalesce coalesce =
-  if coalesce then Some Transport.default_coalesce else None
+  if coalesce then Some Eden_net.Internet.default_coalesce else None
 
 let read_plan file =
   match Eden_fault.Plan.of_file file with

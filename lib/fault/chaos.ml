@@ -10,7 +10,7 @@ type config = {
   requests : int;
   plan : Plan.t option;
   options : Cluster.options;
-  coalesce : Transport.coalesce option;
+  coalesce : Eden_net.Internet.coalesce option;
   ckpt_async : bool;
   frozen_reads : bool;
 }

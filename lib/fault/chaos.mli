@@ -28,7 +28,7 @@ type config = {
           healing within 2 s; the stream outlives it *)
   options : Eden_kernel.Cluster.options;
       (** [use_profiling] is forced on *)
-  coalesce : Eden_kernel.Transport.coalesce option;
+  coalesce : Eden_net.Internet.coalesce option;
   ckpt_async : bool;  (** persist updates through [checkpoint_async] *)
   frozen_reads : bool;
 }

@@ -1,6 +1,7 @@
 open Eden_util
 open Eden_sim
 open Eden_kernel
+open Eden_net
 module Metrics = Eden_obs.Metrics
 
 type t = {
@@ -44,9 +45,9 @@ let apply ctl ev =
     count ctl ctl.c_disk
   | Plan.Heal_disk n -> Cluster.set_disk_failed cl n false
   | Plan.Partition_segment s ->
-    Transport.set_partitioned net s true;
+    Internet.set_partitioned net s true;
     count ctl ctl.c_partitions
-  | Plan.Heal_segment s -> Transport.set_partitioned net s false
+  | Plan.Heal_segment s -> Internet.set_partitioned net s false
   | Plan.Break_link { src; dst; kind; p } ->
     Hashtbl.replace ctl.links (src, dst) (kind, p)
   | Plan.Heal_link { src; dst } -> Hashtbl.remove ctl.links (src, dst)
@@ -78,27 +79,27 @@ let apply ctl ev =
    duplicate-and-delay, and a fast duplicate only makes the tail
    harder on the cloning machinery, which is the point. *)
 let decide ctl ~src ~dst =
-  if not ctl.armed then Transport.Pass
+  if not ctl.armed then Internet.Pass
   else
     match dst with
-    | None -> Transport.Pass
+    | None -> Internet.Pass
     | Some g ->
       let verdict =
         match Hashtbl.find_opt ctl.links (src, g) with
-        | None -> Transport.Pass
+        | None -> Internet.Pass
         | Some (kind, p) ->
-          if not (Splitmix.coin ctl.rng p) then Transport.Pass
+          if not (Splitmix.coin ctl.rng p) then Internet.Pass
           else (
             match kind with
             | Plan.Drop ->
               count ctl ctl.c_drops;
-              Transport.Drop
+              Internet.Drop
             | Plan.Duplicate ->
               count ctl ctl.c_dups;
-              Transport.Duplicate
+              Internet.Duplicate
             | Plan.Delay d ->
               count ctl ctl.c_delays;
-              Transport.Delay d)
+              Internet.Delay d)
       in
       let slow_by =
         let at n acc =
@@ -111,9 +112,9 @@ let decide ctl ~src ~dst =
       if Time.to_ns slow_by = 0 then verdict
       else (
         match verdict with
-        | Transport.Pass -> Transport.Delay slow_by
-        | Transport.Delay d -> Transport.Delay (Time.add d slow_by)
-        | (Transport.Drop | Transport.Duplicate) as v -> v)
+        | Internet.Pass -> Internet.Delay slow_by
+        | Internet.Delay d -> Internet.Delay (Time.add d slow_by)
+        | (Internet.Drop | Internet.Duplicate) as v -> v)
 
 let arm ?(seed = 0xFA17L) cl plan =
   let reg = Cluster.metrics cl in
@@ -141,7 +142,7 @@ let arm ?(seed = 0xFA17L) cl plan =
       c_decommissions = Metrics.counter reg "fault.decommissions";
     }
   in
-  Transport.set_fault_injector (Cluster.network cl)
+  Internet.set_fault_injector (Cluster.network cl)
     (Some (fun ~src ~dst -> decide ctl ~src ~dst));
   let eng = Cluster.engine cl in
   (* Plan times are relative to the instant of arming, so a plan can be
@@ -172,4 +173,4 @@ let disarm ctl =
   ctl.armed <- false;
   Hashtbl.reset ctl.links;
   Hashtbl.reset ctl.slow;
-  Transport.set_fault_injector (Cluster.network ctl.cl) None
+  Internet.set_fault_injector (Cluster.network ctl.cl) None

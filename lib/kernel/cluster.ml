@@ -18,6 +18,7 @@
 open Eden_util
 open Eden_sim
 open Eden_hw
+open Eden_net
 open State
 module Timeline = Eden_obs.Timeline
 
@@ -261,18 +262,17 @@ let register_collectors cl =
   Metrics.register_gauge_fn reg "sim.runnable" (fun () ->
       float_of_int (Engine.runnable_processes cl.eng));
   Metrics.register_counter_fn reg "net.bridge_forwards" (fun () ->
-      Transport.bridge_forwards cl.c_lan);
+      Internet.bridge_forwards cl.c_lan);
   Metrics.register_counter_fn reg "net.coalesced_batches" (fun () ->
-      Transport.coalesced_batches cl.c_lan);
+      Internet.coalesced_batches cl.c_lan);
   Metrics.register_counter_fn reg "net.coalesced_messages" (fun () ->
-      Transport.coalesced_messages cl.c_lan);
-  for seg = 0 to Transport.segment_count cl.c_lan - 1 do
+      Internet.coalesced_messages cl.c_lan);
+  for seg = 0 to Internet.segment_count cl.c_lan - 1 do
     let labels = [ ("segment", string_of_int seg) ] in
     let c name field =
       Metrics.register_counter_fn reg ~labels name (fun () ->
-          field (Transport.segment_counters cl.c_lan).(seg))
+          field (Internet.segment_counters cl.c_lan).(seg))
     in
-    let open Eden_net in
     c "net.frames_sent" (fun k -> k.Lan.frames_sent);
     c "net.frames_broadcast" (fun k -> k.Lan.frames_broadcast);
     c "net.frames_delivered" (fun k -> k.Lan.frames_delivered);
@@ -320,9 +320,9 @@ let register_collectors cl =
       g "eden.pending_requests" (fun () ->
           float_of_int (Hashtbl.length node.nd_pending));
       g "net.queued_messages" (fun () ->
-          float_of_int (Transport.queued_messages node.nd_tp));
+          float_of_int (Internet.queued_messages node.nd_tp));
       g "net.reassembly_pending" (fun () ->
-          float_of_int (Transport.reassembly_pending node.nd_tp));
+          float_of_int (Internet.reassembly_pending node.nd_tp));
       c "eden.journal.events" (fun () -> Journal.recorded node.nd_journal);
       c "eden.journal.dropped" (fun () -> Journal.dropped node.nd_journal))
     cl.nodes
@@ -332,37 +332,31 @@ let register_collectors cl =
    injector fires below the layer that knows contexts.  With profiling
    on, every payload's departure and injected hold is journalled too,
    on the payload's own trace, so the attribution walk can split
-   coalescer hold and injected hold out of a request's wire time.
-   Unarmed, the net layer's only overhead is a [None] test. *)
-let install_wire_hooks cl =
+   coalescer hold and injected hold out of a request's wire time. *)
+let install_wire_hook cl =
   let record src ?ctx kind =
     if src >= 0 && src < Array.length cl.nodes then
       ignore (jrecord cl cl.nodes.(src) ?ctx kind)
   in
-  Transport.set_event_hook cl.c_lan
+  let each src items kind =
+    if cl.opts.use_profiling then
+      List.iter
+        (fun (m : Message.traced) -> record src ?ctx:m.Message.tr_ctx kind)
+        items
+  in
+  Internet.set_event_hook cl.c_lan
     (Some
        (function
-       | Transport.Ev_drop { src; dst; msgs } ->
+       | Internet.Ev_drop { src; dst; msgs } ->
          record src (Journal.Drop { dst; msgs })
-       | Transport.Ev_duplicate { src; dst; msgs } ->
+       | Internet.Ev_duplicate { src; dst; msgs } ->
          record src (Journal.Duplicate { dst; msgs })
-       | Transport.Ev_delay { src; dst; msgs; by = _ } ->
-         record src (Journal.Delay { dst; msgs })
-       | Transport.Ev_coalesce { src; dst; msgs } ->
-         record src (Journal.Coalesce { dst; msgs })));
-  if cl.opts.use_profiling then
-    let each items f =
-      List.iter (fun (m : Message.traced) -> f m.Message.tr_ctx) items
-    in
-    Transport.set_wire_hook cl.c_lan
-      (Some
-         (function
-         | Transport.Wv_depart { src; dst; msgs; items } ->
-           each items (fun ctx ->
-               record src ?ctx (Journal.Net_flush { dst; msgs }))
-         | Transport.Wv_hold { src; dst; by; items } ->
-           each items (fun ctx ->
-               record src ?ctx (Journal.Net_hold { dst; by }))))
+       | Internet.Ev_hold { src; dst; msgs; by; items } ->
+         record src (Journal.Delay { dst; msgs });
+         each src items (Journal.Net_hold { dst; by })
+       | Internet.Ev_depart { src; dst; msgs; items } ->
+         if msgs > 1 then record src (Journal.Coalesce { dst; msgs });
+         each src items (Journal.Net_flush { dst; msgs })))
 
 (* The online attribution: each finished request adds its critical-path
    breakdown to one counter per category, plus its end-to-end total. *)
@@ -452,8 +446,8 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
   in
   let eng = Engine.create ~seed () in
   let lan =
-    Transport.create_net ?params:net ?coalesce eng
-      ~segments:(List.length segment_sizes)
+    Internet.create ?params:net ?coalesce eng
+      ~segments:(List.length segment_sizes) ~size:Message.traced_size
   in
   let jsink = Journal.sink () in
   let nodes =
@@ -492,7 +486,6 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
          node computes the same ring, no coordination.  Spares are
          excluded until a join bumps the epoch. *)
       c_dir = Directory.make ~nodes:(List.init n_members Fun.id) ();
-      c_dir_nack_fallback = true;
       c_epoch = 0;
       c_members = List.init n_members Fun.id;
       c_rings = Hashtbl.create 8;
@@ -509,10 +502,10 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
   register_collectors cl;
   Array.iter
     (fun node ->
-      Transport.on_message node.nd_tp (fun ~src msg ->
+      Internet.on_message node.nd_tp (fun ~src msg ->
           on_message cl node ~src msg))
     nodes;
-  install_wire_hooks cl;
+  install_wire_hook cl;
   Hashtbl.replace cl.types "eden_node" (node_type_for cl);
   cl.c_node_objects <-
     Array.map
@@ -536,7 +529,7 @@ let default ?seed ?options ?coalesce ?journal_cap ?health ?spares ~n_nodes () =
 
 let engine cl = cl.eng
 let network cl = cl.c_lan
-let node_segment cl i = Transport.segment (node_of cl i).nd_tp
+let node_segment cl i = Internet.segment_of_endpoint (node_of cl i).nd_tp
 let node_count cl = Array.length cl.nodes
 let machine cl i = (node_of cl i).nd_machine
 let node_up cl i = (node_of cl i).nd_up
@@ -666,7 +659,7 @@ let crash_node cl i =
   let node = node_of cl i in
   if node.nd_up then begin
     node.nd_up <- false;
-    Transport.set_up node.nd_tp false;
+    Internet.set_up node.nd_tp false;
     let objects = [ node.nd_active; node.nd_replicas; node.nd_cache ] in
     objects
     |> List.concat_map (fun t -> Name.Table.fold (fun _ o acc -> o :: acc) t [])
@@ -705,7 +698,7 @@ let restart_node ?(rebuild = false) cl i =
   let node = node_of cl i in
   if not node.nd_up then begin
     node.nd_up <- true;
-    Transport.set_up node.nd_tp true;
+    Internet.set_up node.nd_tp true;
     Membership.catch_up cl node;
     (* Everything checkpointed to this node's disk is authoritatively
        passive if it was active here at the crash: conservatively mark
@@ -758,8 +751,6 @@ let is_active cl cap = where_is cl cap <> None
    tooling; the kernel's own routing detours past downed shards). *)
 let directory_shard cl name =
   Directory.shard (Locate.ring_of cl cl.c_epoch) name
-
-let set_dir_nack_fallback cl enabled = cl.c_dir_nack_fallback <- enabled
 
 let sites_where cl p =
   Array.to_list cl.nodes

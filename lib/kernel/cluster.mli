@@ -102,7 +102,7 @@ val create :
   ?net:Eden_net.Params.t ->
   ?options:options ->
   ?segments:int list ->
-  ?coalesce:Transport.coalesce ->
+  ?coalesce:Eden_net.Internet.coalesce ->
   ?journal_cap:int ->
   ?health:Eden_obs.Health.config ->
   ?spares:int ->
@@ -127,7 +127,7 @@ val create :
     segment.  [coalesce] enables unicast message coalescing on
     the kernel transport (default off): small messages to one
     destination batch into a single wire transfer under the given
-    budgets (see {!Transport.coalesce}).  [journal_cap] bounds each
+    budgets (see {!Eden_net.Internet.coalesce}).  [journal_cap] bounds each
     node's event journal (default 4096 events; 0 disables retention
     — trace contexts still propagate, but nothing is kept).  Raises
     [Invalid_argument] if negative.  [health] (default off) enables
@@ -141,7 +141,7 @@ val create :
 val default :
   ?seed:int64 ->
   ?options:options ->
-  ?coalesce:Transport.coalesce ->
+  ?coalesce:Eden_net.Internet.coalesce ->
   ?journal_cap:int ->
   ?health:Eden_obs.Health.config ->
   ?spares:int ->
@@ -153,7 +153,7 @@ val default :
 
 val engine : t -> Eden_sim.Engine.t
 
-val network : t -> Transport.net
+val network : t -> Message.traced Eden_net.Internet.t
 (** The cluster's internetwork, for frame counters and topology
     introspection. *)
 
@@ -355,13 +355,6 @@ val directory_shard : t -> Name.t -> node_id
     tooling).  The kernel's own routing additionally detours past
     powered-off shards to the next live ring point; this accessor
     reports the canonical owner. *)
-
-val set_dir_nack_fallback : t -> bool -> unit
-(** Test scaffolding: arm or disarm the NACK-on-wrong-home shard
-    invalidation (armed by default).  Disarmed, a stale registry entry
-    is never repaired and a directory-routed request to a moved object
-    burns its whole nack budget — the regression the fallback
-    prevents; see the chaos suite's stale-hint test. *)
 
 val replica_sites : t -> Capability.t -> node_id list
 val checkpoint_sites : t -> Capability.t -> node_id list

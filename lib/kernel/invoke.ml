@@ -403,22 +403,17 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?caller cap ~op args =
                   (* The shard pointed at a node that cannot serve.
                      Lazily invalidate its entry (it drops it only if
                      it still names this home) and retry on the
-                     broadcast path.  With the invalidation disarmed
-                     (test scaffolding) the stale entry keeps winning
-                     until the nack budget runs out — the regression
-                     this fallback exists to prevent. *)
+                     broadcast path; otherwise the stale entry would
+                     keep winning until the nack budget ran out. *)
                   Metrics.incr (nm cl node).m_dir_nacks;
-                  if cl.c_dir_nack_fallback then begin
-                    Locate.dir_invalidate ~ctx:ictx cl node name
-                      ~stale_home:dst;
-                    dir_fallback ()
-                  end
+                  Locate.dir_invalidate ~ctx:ictx cl node name
+                    ~stale_home:dst;
+                  dir_fallback ()
                 end;
                 if nack_budget <= 0 then Error Error.No_such_object
                 else
                   attempt ~deadline ~nack_budget:(nack_budget - 1)
-                    ~use_dir:
-                      (use_dir && not (via_dir && cl.c_dir_nack_fallback)))
+                    ~use_dir:(use_dir && not via_dir))
           end)))
     in
     (* [?timeout] bounds each attempt; a timed-out attempt may be

@@ -179,36 +179,16 @@ type t =
           one wins regardless of delivery order. *)
 
 val size_bytes : t -> int
-(** Approximate marshalled size, including a fixed per-message
-    header. *)
+(** Modelled wire size, including a fixed per-message header. *)
 
 val describe : t -> string
 (** Short human-readable tag for tracing. *)
 
-val encode : ?ctx:Eden_obs.Tracectx.t -> t -> string
-(** Marshal to a self-delimiting textual wire form.  [ctx], when
-    given, is written as an envelope prefix ahead of the message tag;
-    frames without it are unchanged from the previous wire format. *)
-
-val decode : string -> (t, string) result
-(** Inverse of {!encode} up to the trace context (accepted and
-    discarded — use {!decode_traced} to keep it).  Rejects malformed
-    input, unknown tags, invalid rights bits and trailing bytes with a
-    description of the first error.  Total even on hostile input: values nested
-    deeper than 256 levels are rejected as malformed rather than
-    overflowing the stack (no message the kernel builds comes near
-    that bound). *)
-
-val decode_traced :
-  string -> (Eden_obs.Tracectx.t option * t, string) result
-(** Like {!decode} but also returns the envelope's trace context
-    ([None] for frames encoded without one). *)
-
 (** {1 In-sim envelope}
 
-    The simulated transport passes whole OCaml values between kernels;
-    {!traced} wraps a message with its trace context for that path
-    (the wire codec above is the serialised ground truth). *)
+    A message crosses the simulated LAN as an OCaml value, never as
+    bytes; {!traced} wraps it with its trace context for that path,
+    and {!traced_size} sets its wire time. *)
 
 type traced = { tr_ctx : Eden_obs.Tracectx.t option; tr_msg : t }
 

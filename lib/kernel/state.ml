@@ -5,6 +5,7 @@
 open Eden_util
 open Eden_sim
 open Eden_hw
+open Eden_net
 module Metrics = Eden_obs.Metrics
 module Critical = Eden_obs.Critical
 module Journal = Eden_obs.Journal
@@ -146,7 +147,7 @@ type dir_entry = {
 type node = {
   nd_id : node_id;
   nd_machine : Machine.t;
-  nd_tp : Transport.t;
+  nd_tp : Message.traced Internet.endpoint;
   mutable nd_up : bool;
   mutable nd_disk_ok : bool;
       (* false while the checkpoint store is failed: snapshots can
@@ -302,7 +303,7 @@ type hedge_state = {
 
 type t = {
   eng : Engine.t;
-  c_lan : Transport.net;
+  c_lan : Message.traced Internet.t;
   nodes : node array;
   types : (string, Typemgr.t) Hashtbl.t;
   c_rng : Splitmix.t;
@@ -325,10 +326,6 @@ type t = {
       (* the consistent-hash ring mapping names to registry shards at
          the boot membership (epoch 0); a pure function of the member
          set, shared by all nodes *)
-  mutable c_dir_nack_fallback : bool;
-      (* NACK-on-wrong-home invalidation armed (default).  Test
-         scaffolding: disabling it lets the stale-hint regression show
-         what the fallback exists to prevent. *)
   mutable c_epoch : int;
       (* the newest membership epoch any node has initiated; bumped by
          join and decommission.  Epoch 0 is the boot membership. *)
@@ -404,9 +401,9 @@ exception Fatal of string
 
 let make_node eng lan jsink ~journal_cap ~segment (cfg : Machine.config) =
   let machine = Machine.create eng cfg in
-  let tp = Transport.attach lan ~segment ~name:cfg.Machine.name in
+  let tp = Internet.attach lan ~segment ~name:cfg.Machine.name in
   {
-    nd_id = Transport.address tp;
+    nd_id = Internet.address tp;
     nd_machine = machine;
     nd_tp = tp;
     nd_up = true;
@@ -433,7 +430,7 @@ let make_node eng lan jsink ~journal_cap ~segment (cfg : Machine.config) =
     nd_kprocs = [];
     nd_ckpt_async = 0;
     nd_journal =
-      Journal.create jsink ~node:(Transport.address tp) ~cap:journal_cap;
+      Journal.create jsink ~node:(Internet.address tp) ~cap:journal_cap;
     nd_dir = Name.Table.create 64;
     nd_epoch = 0;
     nd_draining = false;
@@ -573,7 +570,7 @@ let send_ctx cl node ?ctx msg ~dst =
 let send_msg ?ctx cl node ~dst msg =
   if node.nd_up && dst <> node.nd_id then begin
     let ctx = send_ctx cl node ?ctx msg ~dst:(Some dst) in
-    Transport.send node.nd_tp ~dst (Message.traced ~ctx msg)
+    Internet.send node.nd_tp ~dst (Message.traced ~ctx msg)
   end
 
 (* Urgent unicast: flushes any coalescing batch queued for [dst] ahead
@@ -582,13 +579,13 @@ let send_msg ?ctx cl node ~dst msg =
 let send_msg_now ?ctx cl node ~dst msg =
   if node.nd_up && dst <> node.nd_id then begin
     let ctx = send_ctx cl node ?ctx msg ~dst:(Some dst) in
-    Transport.send_now node.nd_tp ~dst (Message.traced ~ctx msg)
+    Internet.send_now node.nd_tp ~dst (Message.traced ~ctx msg)
   end
 
 let bcast_msg ?ctx cl node msg =
   if node.nd_up then begin
     let ctx = send_ctx cl node ?ctx msg ~dst:None in
-    Transport.broadcast node.nd_tp (Message.traced ~ctx msg)
+    Internet.broadcast node.nd_tp (Message.traced ~ctx msg)
   end
 
 (* Distrust what [node] believed about [name]'s location. *)

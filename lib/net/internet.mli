@@ -23,8 +23,8 @@ type coalesce = {
 }
 (** Budgets for unicast message coalescing.  Each endpoint keeps one
     send queue per destination; small messages accumulate there and
-    leave as a single wire transfer when any budget is exhausted, when
-    a {!broadcast} acts as a barrier, or on an explicit {!flush}.
+    leave as a single wire transfer when any budget is exhausted, or
+    when a {!broadcast} or {!send_now} acts as a barrier.
     Messages of [co_max_bytes] or more bypass the queue (after
     flushing it, so per-destination FIFO order is preserved). *)
 
@@ -76,11 +76,6 @@ val broadcast : 'a endpoint -> 'a -> unit
     the bridge re-emits on remote segments.  A broadcast is a
     coalescing barrier: the sender's queues are flushed first so
     queued unicasts cannot overtake it. *)
-
-val flush : 'a endpoint -> unit
-(** Flush every per-destination coalescing queue of this endpoint
-    immediately (in ascending destination order).  A no-op when
-    coalescing is disabled or nothing is queued. *)
 
 val set_up : 'a endpoint -> bool -> unit
 val is_up : 'a endpoint -> bool
@@ -150,38 +145,32 @@ val set_fault_injector :
 
 (** {2 Wire event hook}
 
-    Observability taps for things only this layer can see: injector
-    verdicts that actually perturbed a transfer, and coalesced batches
-    leaving a send queue.  [msgs] is the number of messages in the
-    affected transfer; [dst = None] means broadcast. *)
+    One observability tap for what only this layer can see: injector
+    verdicts that actually perturbed a transfer, and batches leaving a
+    send queue.  [msgs] is the number of messages in the affected
+    transfer; [dst = None] means broadcast.  A hold and a departure
+    list their payloads in FIFO order, so a profiler can charge the
+    span to each payload's own trace.  Unset, the only cost is one
+    [None] test per flush and per injector verdict. *)
 
-type event =
+type 'a event =
   | Ev_drop of { src : int; dst : int option; msgs : int }
   | Ev_duplicate of { src : int; dst : int option; msgs : int }
-  | Ev_delay of { src : int; dst : int option; msgs : int; by : Eden_util.Time.t }
-  | Ev_coalesce of { src : int; dst : int; msgs : int }
-
-val set_event_hook : 'a t -> (event -> unit) option -> unit
-(** At most one hook; [None] removes it.  Called synchronously at the
-    decision point, before any transmission it describes. *)
-
-(** {2 Per-payload wire hook}
-
-    The critical-path profiler needs to know {e which} payloads a
-    coalescing hold or an injected delay affected — each payload
-    carries its own trace context — so a second, parametric hook
-    reports the payload lists.  Strictly opt-in: unset, the only cost
-    is one [None] test per flush and per injector verdict. *)
-
-type 'a wire_event =
-  | Wv_depart of { src : int; dst : int; msgs : int; items : 'a list }
+  | Ev_hold of {
+      src : int;
+      dst : int option;
+      msgs : int;
+      by : Eden_util.Time.t;
+      items : 'a list;
+    }
+      (** a [Delay] verdict held [items] at the sender for [by] before
+          transmitting *)
+  | Ev_depart of { src : int; dst : int; msgs : int; items : 'a list }
       (** a batch left a per-destination coalescing queue; reported
           for {e every} flush, even of a single message (that message
-          spent the delay budget queued) *)
-  | Wv_hold of { src : int; dst : int option; by : Eden_util.Time.t; items : 'a list }
-      (** a [Delay] verdict held [items] at the sender for [by]
-          before transmitting; [dst = None] means broadcast *)
+          spent the delay budget queued).  A [Delay] verdict on the
+          same transfer follows as an [Ev_hold]. *)
 
-val set_wire_hook : 'a t -> ('a wire_event -> unit) option -> unit
+val set_event_hook : 'a t -> ('a event -> unit) option -> unit
 (** At most one hook; [None] removes it.  Called synchronously at the
-    flush or verdict point, before the transmission it describes. *)
+    flush or verdict point, before any transmission it describes. *)

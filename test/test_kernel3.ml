@@ -318,7 +318,7 @@ let test_cross_segment_invocation () =
   Cluster.run cl;
   check_bool "cross-segment invoke" true (!outcome = Some (Ok [ Value.Int 1 ]));
   check_bool "bridge was used" true
-    (Transport.bridge_forwards (Cluster.network cl) > 0)
+    (Eden_net.Internet.bridge_forwards (Cluster.network cl) > 0)
 
 let test_cross_segment_slower_than_intra () =
   let cl = two_segment_cluster () in

@@ -775,6 +775,50 @@ let test_co_injector_drops_whole_batch () =
   check_int "all members lost" 0 !got;
   check_int "one verdict for the whole batch" 1 !decisions
 
+let test_co_event_hook () =
+  (* The one wire hook's contract: a flush reports its departure, then
+     a Delay verdict on the same transfer reports the hold, both with
+     the payloads in FIFO order and before anything is delivered.  A
+     lone message released by the timer still reports a departure. *)
+  let eng = Engine.create () in
+  let inet, eps = make_inet_co ~coalesce:(co ~msgs:3 ()) eng in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let dst_s = function Some d -> string_of_int d | None -> "*" in
+  Internet.on_message eps.(1) (fun ~src:_ msg -> note ("deliver " ^ msg));
+  Internet.set_fault_injector inet
+    (Some (fun ~src:_ ~dst:_ -> Internet.Delay (Time.ms 1)));
+  Internet.set_event_hook inet
+    (Some
+       (function
+       | Internet.Ev_depart { src; dst; msgs; items } ->
+         note
+           (Printf.sprintf "depart %d->%d %d [%s]" src dst msgs
+              (String.concat ";" items))
+       | Internet.Ev_hold { src; dst; msgs; by; items } ->
+         note
+           (Printf.sprintf "hold %d->%s %d by %s [%s]" src (dst_s dst) msgs
+              (Time.to_string by) (String.concat ";" items))
+       | Internet.Ev_drop _ -> note "drop"
+       | Internet.Ev_duplicate _ -> note "duplicate"));
+  List.iter (fun m -> Internet.send eps.(0) ~dst:1 m) [ "a"; "b"; "c" ];
+  Engine.run eng;
+  Internet.send eps.(0) ~dst:1 "lone";
+  Engine.run eng;
+  Alcotest.(check (list string))
+    "departure, hold, then delivery"
+    [
+      "depart 0->1 3 [a;b;c]";
+      "hold 0->1 3 by 1.000ms [a;b;c]";
+      "deliver a";
+      "deliver b";
+      "deliver c";
+      "depart 0->1 1 [lone]";
+      "hold 0->1 1 by 1.000ms [lone]";
+      "deliver lone";
+    ]
+    (List.rev !log)
+
 let test_co_down_sender_discards_queue () =
   let eng = Engine.create () in
   let inet, eps = make_inet_co ~coalesce:(co ~delay:(Time.ms 1) ()) eng in
@@ -886,5 +930,7 @@ let () =
             test_co_injector_drops_whole_batch;
           Alcotest.test_case "down sender discards queue" `Quick
             test_co_down_sender_discards_queue;
+          Alcotest.test_case "one hook: depart, hold, deliver" `Quick
+            test_co_event_hook;
         ] );
     ]

@@ -1,7 +1,8 @@
-(* Round-trip property tests over the kernel wire codecs and the fault
-   plan text format, on the {!Prop} harness: 100 seeds per property,
-   each seed generating one structured value, encoding it and decoding
-   it back.  Everything here is pure — no engine, no cluster. *)
+(* Property tests on the {!Prop} harness, 100 seeds per property:
+   round trips through the Name and Capability text forms and the
+   fault plan text format, [Message.describe] against a reference,
+   and the laws of deltas, health windows, top-k and the directory
+   ring.  Everything here is pure — no engine, no cluster. *)
 
 open Eden_kernel
 module Splitmix = Eden_util.Splitmix
@@ -317,148 +318,6 @@ let cap_roundtrip =
         Error (Printf.sprintf "decoded to %s" (Capability.encode c'))
       | None -> Error "failed to parse")
 
-let message_roundtrip =
-  Prop.case ~name:"Message.decode (encode m) = Ok m" ~base:0xA110_0003L
-    ~gen:gen_message ~show:Message.describe (fun m ->
-      match Message.decode (Message.encode m) with
-      | Ok m' when m' = m -> Ok ()
-      | Ok m' -> Error (Printf.sprintf "decoded to %s" (Message.describe m'))
-      | Error e -> Error e)
-
-let message_rejects_truncation =
-  (* Chopping the last byte off a non-empty encoding must never decode
-     successfully — the wire form is self-delimiting and checks for
-     trailing garbage, so a prefix is always malformed. *)
-  Prop.case ~name:"Message.decode rejects truncated input"
-    ~base:0xA110_0004L ~gen:gen_message ~show:Message.describe (fun m ->
-      let s = Message.encode m in
-      match Message.decode (String.sub s 0 (String.length s - 1)) with
-      | Error _ -> Ok ()
-      | Ok m' ->
-        Error
-          (Printf.sprintf "truncated input decoded as %s"
-             (Message.describe m')))
-
-let test_decode_bounds_nesting () =
-  (* The reader recurses on Pair/List, so without a depth bound a
-     deeply nested input would kill the process with [Stack_overflow]
-     instead of returning [Error] — the codec must stay total on
-     hostile input.  Depth 300 sits just past the documented bound of
-     256; encoding is iterative enough at this size to be safe. *)
-  let rec deep n acc = if n = 0 then acc else deep (n - 1) (Value.Pair (acc, Value.Unit)) in
-  let m =
-    Message.Create_request
-      {
-        req_id = { Message.origin = 0; seq = 0 };
-        type_name = "t";
-        init = deep 300 Value.Unit;
-        reply_to = 1;
-      }
-  in
-  (match Message.decode (Message.encode m) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "over-deep nesting decoded successfully");
-  (* A value within the bound still round-trips. *)
-  let shallow =
-    Message.Create_request
-      {
-        req_id = { Message.origin = 0; seq = 0 };
-        type_name = "t";
-        init = deep 40 Value.Unit;
-        reply_to = 1;
-      }
-  in
-  match Message.decode (Message.encode shallow) with
-  | Ok m' -> Alcotest.(check bool) "round-trips" true (m' = shallow)
-  | Error e -> Alcotest.failf "shallow nesting rejected: %s" e
-
-let test_cancel_codec_hostile () =
-  (* The Cancel envelope rides the urgent path past the coalescer, so
-     its codec gets the same hostile-input treatment as the nested
-     value decoding above: every proper prefix is rejected, trailing
-     garbage is rejected, and corrupting any single byte returns
-     [Error] (or an honestly decoded other message) rather than
-     raising. *)
-  let rng = Splitmix.create 0xCA9CE1L in
-  for _ = 1 to 50 do
-    let m = Message.Cancel { inv_id = gen_req rng; target = gen_name rng } in
-    let s = Message.encode m in
-    (match Message.decode s with
-    | Ok m' -> Alcotest.(check bool) "cancel round-trips" true (m' = m)
-    | Error e -> Alcotest.failf "cancel rejected: %s" e);
-    for i = 0 to String.length s - 1 do
-      match Message.decode (String.sub s 0 i) with
-      | Error _ -> ()
-      | Ok m' ->
-        Alcotest.failf "prefix of length %d decoded as %s" i
-          (Message.describe m')
-    done;
-    (match Message.decode (s ^ "\x00") with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail "trailing garbage accepted");
-    String.iteri
-      (fun i _ ->
-        let b = Bytes.of_string s in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
-        ignore (Message.decode (Bytes.to_string b)))
-      s
-  done
-
-let test_dir_codec_hostile () =
-  (* The directory messages carry the locate hot path once the ring is
-     on, so their codecs get the same hostile-input treatment as
-     Cancel: every proper prefix rejected, trailing garbage rejected,
-     and any single corrupted byte returns [Error] (or an honestly
-     decoded other message) rather than raising.  Dir_put's replica
-     list exercises the bounded-count read; Dir_nack covers the
-     negative-home miss reply. *)
-  let rng = Splitmix.create 0xD19EC7L in
-  let gen_dir rng : Message.t =
-    match Splitmix.int rng 3 with
-    | 0 ->
-      Message.Dir_put
-        {
-          req_id = gen_req rng;
-          target = gen_name rng;
-          home = gen_node rng;
-          replicas = List.init (Splitmix.int rng 5) (fun _ -> gen_node rng);
-          lease = Splitmix.int rng 1_000_000_000;
-        }
-    | 1 ->
-      Message.Dir_get
-        { req_id = gen_req rng; target = gen_name rng; reply_to = gen_node rng }
-    | _ ->
-      Message.Dir_nack
-        {
-          req_id = gen_req rng;
-          target = gen_name rng;
-          home = (if Splitmix.bool rng then gen_node rng else -1);
-        }
-  in
-  for _ = 1 to 60 do
-    let m = gen_dir rng in
-    let s = Message.encode m in
-    (match Message.decode s with
-    | Ok m' -> Alcotest.(check bool) "dir message round-trips" true (m' = m)
-    | Error e -> Alcotest.failf "dir message rejected: %s" e);
-    for i = 0 to String.length s - 1 do
-      match Message.decode (String.sub s 0 i) with
-      | Error _ -> ()
-      | Ok m' ->
-        Alcotest.failf "prefix of length %d decoded as %s" i
-          (Message.describe m')
-    done;
-    (match Message.decode (s ^ "\x00") with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail "trailing garbage accepted");
-    String.iteri
-      (fun i _ ->
-        let b = Bytes.of_string s in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
-        ignore (Message.decode (Bytes.to_string b)))
-      s
-  done
-
 (* Chunked representations (a top-level List) are the delta fast path;
    mix in arbitrary shapes so the [Whole] fallback is exercised too. *)
 let gen_chunked rng =
@@ -509,37 +368,6 @@ let delta_never_larger =
       and fs = Delta.size_bytes (Delta.Whole target) in
       if ds <= fs then Ok ()
       else Error (Printf.sprintf "delta %dB vs full %dB" ds fs))
-
-(* ------------------------------------------------------------------ *)
-(* Traced envelopes *)
-
-module Json = Eden_obs.Json
-module Tracectx = Eden_obs.Tracectx
-
-let gen_ctx rng =
-  if Splitmix.bool rng then None
-  else
-    Some
-      (Tracectx.make
-         ~trace:(Splitmix.int rng 1_000_000)
-         ~parent:(Splitmix.int rng 1_000_000))
-
-let traced_roundtrip =
-  (* The envelope codec: a message encoded with a trace context hands
-     the same context back on decode, and one encoded without stays
-     context-free (backward-compatible frames). *)
-  Prop.case ~name:"Message.decode_traced (encode ?ctx m) = Ok (ctx, m)"
-    ~base:0xA110_000AL
-    ~gen:(fun rng -> (gen_ctx rng, gen_message rng))
-    ~show:(fun (ctx, m) ->
-      Printf.sprintf "%s [%s]" (Message.describe m)
-        (match ctx with Some c -> Tracectx.to_string c | None -> "no ctx"))
-    (fun (ctx, m) ->
-      match Message.decode_traced (Message.encode ?ctx m) with
-      | Ok (ctx', m') when m' = m && Option.equal Tracectx.equal ctx ctx' ->
-        Ok ()
-      | Ok _ -> Error "envelope round-trip mismatch"
-      | Error e -> Error e)
 
 let gen_plan_params rng =
   let seed = Splitmix.next64 rng in
@@ -836,20 +664,8 @@ let () =
     [
       ("name", [ name_roundtrip; name_matches_pp ]);
       ("capability", [ cap_roundtrip ]);
-      ( "message",
-        [
-          message_roundtrip;
-          message_rejects_truncation;
-          describe_matches_printf;
-          Alcotest.test_case "decode bounds value nesting" `Quick
-            test_decode_bounds_nesting;
-          Alcotest.test_case "cancel codec survives hostile input" `Quick
-            test_cancel_codec_hostile;
-          Alcotest.test_case "dir codecs survive hostile input" `Quick
-            test_dir_codec_hostile;
-        ] );
+      ("message", [ describe_matches_printf ]);
       ("delta", [ delta_apply_roundtrip; delta_never_larger ]);
-      ("traced", [ traced_roundtrip ]);
       ("fault_plan", [ plan_roundtrip ]);
       ("health", [ window_merge_algebra; topk_error_bounds ]);
       ( "directory",
