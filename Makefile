@@ -5,7 +5,7 @@
 CI_OUT = .ci_out
 
 .PHONY: all build check ci test test-props bench examples smoke gates \
-  bench-check determinism clean help
+  bench-check determinism parity clean help
 
 all: build
 
@@ -21,6 +21,7 @@ help:
 	@echo "make examples     - run the example programs"
 	@echo "make smoke        - exercise the edenctl CLI end to end"
 	@echo "make determinism  - experiment output must be bit-reproducible"
+	@echo "make parity REF=C - simulated output must match commit C's"
 	@echo "make clean        - dune clean"
 
 build:
@@ -125,6 +126,47 @@ determinism:
 	dune exec bench/main.exe -- $(DETERMINISM) > $(CI_OUT)/bench_b.txt 2>&1
 	diff $(CI_OUT)/bench_a.txt $(CI_OUT)/bench_b.txt
 	@echo "deterministic: OK"
+
+# Simulated behaviour must match another commit's, for changes meant
+# to leave it alone.  `make parity REF=<commit>` exports REF with git
+# archive under .ci_out/parity/ref, builds it and this tree, and in
+# each runs `edenctl run --nodes 5 --seed 11` once per flag set of the
+# gate table in test/test_fault.ml (commas stand for spaces below; the
+# table's two fault plans live in the test) and the DETERMINISM
+# experiments, which write BENCH_<id>.json.  Any difference between the
+# two output trees fails the target.
+PARITY = $(CI_OUT)/parity
+PARITY_ROWS = base: \
+  replica-cache-coalesce:--replica-cache,--coalesce \
+  clone-hedge:--clone,--hedge \
+  directory:--directory \
+  directory-clone-hedge:--directory,--clone,--hedge \
+  spares-directory:--spares,1,--directory
+
+parity:
+	@test -n "$(REF)" || { echo "usage: make parity REF=<commit>"; exit 2; }
+	rm -rf $(PARITY)
+	mkdir -p $(PARITY)/ref
+	git archive $(REF) | tar -x -C $(PARITY)/ref
+	cd $(PARITY)/ref && DUNE_CACHE=disabled dune build --root . --display quiet \
+	  ./bin/edenctl.exe ./bench/main.exe
+	dune build ./bin/edenctl.exe ./bench/main.exe
+	@for side in ref work; do \
+	  if [ $$side = ref ]; then tree=$(CURDIR)/$(PARITY)/ref; else tree=$(CURDIR); fi; \
+	  out=$(CURDIR)/$(PARITY)/$$side-out; \
+	  for row in $(PARITY_ROWS); do \
+	    name=$${row%%:*}; flags=$$(echo "$${row#*:}" | tr , ' '); \
+	    echo "+ $$side: edenctl run --nodes 5 --seed 11 $$flags"; \
+	    $$tree/_build/default/bin/edenctl.exe run --nodes 5 --seed 11 $$flags \
+	      --out $$out/$$name > /dev/null || exit 1; \
+	  done; \
+	  echo "+ $$side: bench $(DETERMINISM)"; \
+	  mkdir -p $$out/bench; \
+	  (cd $$out/bench && $$tree/_build/default/bench/main.exe $(DETERMINISM) \
+	    > /dev/null 2>&1) || exit 1; \
+	done
+	diff -r $(PARITY)/ref-out $(PARITY)/work-out
+	@echo "parity with $(REF): OK"
 
 clean:
 	dune clean

@@ -14,7 +14,7 @@ let m1_engine_event =
     (Staged.stage (fun () ->
          let eng = Engine.create () in
          for _ = 1 to 64 do
-           Engine.schedule eng ~after:(Time.us 1) (fun () -> ())
+           Engine.schedule_after eng (Time.us 1) (fun () -> ())
          done;
          Engine.run eng))
 

@@ -455,7 +455,7 @@ let run_heartbeat nodes seed kill trace metrics_out =
   let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
   (match kill with
   | Some victim when victim >= 0 && victim < nodes ->
-    Engine.schedule (Cluster.engine cl) ~after:(Time.ms 400) (fun () ->
+    Engine.schedule_after (Cluster.engine cl) (Time.ms 400) (fun () ->
         Cluster.crash_node cl victim)
   | Some _ | None -> ());
   let _ =

@@ -70,9 +70,9 @@ let () =
   in
   ignore monitor_pid;
   (* Failure injection: node 2 dies during rounds 3-6. *)
-  Engine.schedule eng ~after:(Time.ms 900) (fun () ->
+  Engine.schedule_after eng (Time.ms 900) (fun () ->
       Cluster.crash_node cl 2);
-  Engine.schedule eng ~after:(Time.ms 2000) (fun () ->
+  Engine.schedule_after eng (Time.ms 2000) (fun () ->
       Cluster.restart_node cl 2);
   Cluster.run cl;
   print_endline "cluster monitor demo complete"

@@ -65,8 +65,12 @@ let fail_work cl obj w error =
 (* Dispatching invocations inside an object *)
 
 let class_state obj class_name =
-  ( find_or_add obj.ob_class_running class_name (fun () -> ref 0),
-    find_or_add obj.ob_class_queue class_name Fifo.create )
+  match Hashtbl.find obj.ob_classes class_name with
+  | cs -> cs
+  | exception Not_found ->
+    let cs = { cs_running = 0; cs_queue = Fifo.create () } in
+    Hashtbl.replace obj.ob_classes class_name cs;
+    cs
 
 (* Retraction point: the moment queued work would become an invocation
    process is the last chance for a cancellation to matter.  Local work
@@ -89,22 +93,21 @@ let mark_work cl node w kind =
     w.w_ctx <- Some (Tracectx.with_parent c ~parent:ev)
   | None -> ()
 
-let rec start_invocation cl obj spec w =
+(* Start [w] in class [cs], or, if a cancel retracted it, the next work
+   queued there. *)
+let rec start_invocation cl obj cs w =
   let node = home cl obj in
   if work_retracted node w then begin
     Metrics.incr (nm cl node).m_retracted;
     (* Dropped unexecuted; give the slot to the next queued work. *)
-    let _, queue = class_state obj spec.Opclass.class_name in
-    match Fifo.pop queue with
-    | Some next -> start_invocation cl obj spec next
-    | None -> ()
+    if not (Fifo.is_empty cs.cs_queue) then
+      start_invocation cl obj cs (Fifo.pop_exn cs.cs_queue)
   end
-  else start_invocation_admitted cl obj spec w
+  else start_invocation_admitted cl obj cs w
 
-and start_invocation_admitted cl obj spec w =
+and start_invocation_admitted cl obj cs w =
   let node = home cl obj in
-  let running, _ = class_state obj spec.Opclass.class_name in
-  incr running;
+  cs.cs_running <- cs.cs_running + 1;
   obj.ob_running_total <- obj.ob_running_total + 1;
   (* Creating the invocation process is the 432's expensive step. *)
   consume node (costs node).Costs.process_create_cpu;
@@ -118,38 +121,42 @@ and start_invocation_admitted cl obj spec w =
       ~name:(Name.to_string obj.ob_name ^ "." ^ w.w_op)
       (fun () ->
         let self = Engine.self () in
-        Fun.protect
-          ~finally:(fun () -> finish_invocation cl obj spec self)
-          (fun () ->
-            (* Mark the instant execution actually begins: the gap back
-               to the triggering receive (or stall) is queue residency,
-               and the reply extends the chain through the mark. *)
-            if cl.opts.use_profiling then
-              mark_work cl node w (Journal.Work_start { op = w.w_op });
-            Hashtbl.replace obj.ob_inflight (Engine.Pid.to_int self) w;
-            let result =
-              try op.Typemgr.op_handler (Lazy.force obj.ob_ctx) w.w_args with
-              | Engine.Killed as e -> raise e
-              | Engine.Stalled_waiting as e -> raise e
-              | exn -> Error (Error.User_error (Printexc.to_string exn))
-            in
-            Hashtbl.remove obj.ob_inflight (Engine.Pid.to_int self);
-            deliver_reply ?ctx:w.w_ctx cl obj w.w_route result))
+        (* [finish_invocation] runs however the body ends; matching on
+           it does that without [Fun.protect]'s closures. *)
+        match run_invocation cl obj node op w self with
+        | () -> finish_invocation cl obj cs self
+        | exception e ->
+          finish_invocation cl obj cs self;
+          raise e)
   in
   obj.ob_proc_pids <- pid :: obj.ob_proc_pids
 
-and finish_invocation cl obj spec self =
+and run_invocation cl obj node op w self =
+  (* Mark the instant execution actually begins: the gap back to the
+     triggering receive (or stall) is queue residency, and the reply
+     extends the chain through the mark. *)
+  if cl.opts.use_profiling then
+    mark_work cl node w (Journal.Work_start { op = w.w_op });
+  Hashtbl.replace obj.ob_inflight (Engine.Pid.to_int self) w;
+  let result =
+    try op.Typemgr.op_handler (Lazy.force obj.ob_ctx) w.w_args with
+    | Engine.Killed as e -> raise e
+    | Engine.Stalled_waiting as e -> raise e
+    | exn -> Error (Error.User_error (Printexc.to_string exn))
+  in
+  Hashtbl.remove obj.ob_inflight (Engine.Pid.to_int self);
+  deliver_reply ?ctx:w.w_ctx cl obj w.w_route result
+
+and finish_invocation cl obj cs self =
   obj.ob_proc_pids <- drop_pid self obj.ob_proc_pids;
   Hashtbl.remove obj.ob_inflight (Engine.Pid.to_int self);
-  let running, queue = class_state obj spec.Opclass.class_name in
-  decr running;
+  cs.cs_running <- cs.cs_running - 1;
   obj.ob_running_total <- obj.ob_running_total - 1;
   Condition.broadcast obj.ob_drained;
   match obj.ob_status with
-  | Running -> (
-    match Fifo.pop queue with
-    | Some next -> start_invocation cl obj spec next
-    | None -> ())
+  | Running ->
+    if not (Fifo.is_empty cs.cs_queue) then
+      start_invocation cl obj cs (Fifo.pop_exn cs.cs_queue)
   | Draining | Dead -> ()
 
 (* Validation and class admission for one incoming work item. *)
@@ -176,9 +183,9 @@ let admit cl obj w =
         fail_work cl obj w Error.Frozen_immutable
       else begin
         let spec = Opclass.class_of (Typemgr.classes obj.ob_type) ~op:w.w_op in
-        let running, queue = class_state obj spec.Opclass.class_name in
-        if !running < spec.Opclass.limit then start_invocation cl obj spec w
-        else Fifo.push_exn queue w
+        let cs = class_state obj spec.Opclass.class_name in
+        if cs.cs_running < spec.Opclass.limit then start_invocation cl obj cs w
+        else Fifo.push_exn cs.cs_queue w
       end)
 
 let enqueue_work cl obj w =
@@ -246,7 +253,7 @@ let resume obj =
 let outstanding_works obj =
   let inflight = Hashtbl.fold (fun _ w acc -> w :: acc) obj.ob_inflight [] in
   let queued =
-    Hashtbl.fold (fun _ q acc -> Fifo.to_list q @ acc) obj.ob_class_queue []
+    Hashtbl.fold (fun _ cs acc -> Fifo.to_list cs.cs_queue @ acc) obj.ob_classes []
   in
   let stashed = Fifo.to_list obj.ob_stash in
   let buffered =

@@ -11,6 +11,7 @@
    node's sequence counter starts at zero, so sequences collide across
    origins constantly; keying by sequence alone would let one
    requester's bookkeeping retract another requester's queued work.
+   The pair is packed into one int, so a lookup builds no tuple.
 
    The table is bounded: keys are remembered in arrival order and the
    oldest is evicted once the cap is reached.  Sequences are monotonic
@@ -37,13 +38,20 @@ type state =
   | Started
   | Cancelled
 
-type key = int * int
+type key = int
+
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
 type t = {
   cap : int;
   ttl : int;  (* lease for Cancelled-only entries, ns; 0 = never expire *)
   now : unit -> Eden_util.Time.t;
-  tbl : (key, state) Hashtbl.t;
+  tbl : state Tbl.t;
   order : key Queue.t;
   (* Orphan-cancel leases, expiry order = push order (the clock is
      monotonic).  A key may appear here while its table entry has
@@ -60,12 +68,18 @@ let create ?(ttl = Eden_util.Time.zero) ?(now = fun () -> Eden_util.Time.zero)
     cap;
     ttl = Eden_util.Time.to_ns ttl;
     now;
-    tbl = Hashtbl.create (min cap 256);
+    tbl = Tbl.create (min cap 256);
     order = Queue.create ();
     tombs = Queue.create ();
   }
 
-let key (id : Message.request_id) = (id.Message.origin, id.Message.seq)
+(* The origin takes the low [origin_bits]; the sequence, the rest. *)
+let origin_bits = 20
+
+let key (id : Message.request_id) =
+  if id.Message.origin lsr origin_bits <> 0 then
+    invalid_arg "Dedup: origin node id out of range";
+  (id.Message.seq lsl origin_bits) lor id.Message.origin
 
 (* Reclaim expired tombstones.  Amortised O(1): each lease is pushed
    once and popped once, and the queue is expiry-ordered, so the loop
@@ -73,17 +87,15 @@ let key (id : Message.request_id) = (id.Message.origin, id.Message.seq)
 let sweep t =
   if t.ttl > 0 then begin
     let now_ns = Eden_util.Time.to_ns (t.now ()) in
-    let rec go () =
-      match Queue.peek_opt t.tombs with
-      | Some (expiry, k) when expiry <= now_ns ->
-        ignore (Queue.pop t.tombs);
-        (match Hashtbl.find_opt t.tbl k with
-        | Some Cancelled -> Hashtbl.remove t.tbl k
-        | Some (Queued | Started) | None -> ());
-        go ()
-      | Some _ | None -> ()
-    in
-    go ()
+    while
+      (not (Queue.is_empty t.tombs)) && fst (Queue.peek t.tombs) <= now_ns
+    do
+      let _, k = Queue.pop t.tombs in
+      match Tbl.find t.tbl k with
+      | Cancelled -> Tbl.remove t.tbl k
+      | Queued | Started -> ()
+      | exception Not_found -> ()
+    done
   end
 
 let lease t k =
@@ -98,22 +110,30 @@ let rec evict_one t =
   match Queue.take_opt t.order with
   | None -> ()
   | Some oldest ->
-    if Hashtbl.mem t.tbl oldest then Hashtbl.remove t.tbl oldest
+    if Tbl.mem t.tbl oldest then Tbl.remove t.tbl oldest
     else evict_one t
 
 (* [order] holds each live key at least once, oldest first: keys are
    enqueued on insertion and leave the table via eviction, or via a
    tombstone lease running out. *)
 let set t k st =
-  if not (Hashtbl.mem t.tbl k) then begin
-    if Hashtbl.length t.tbl >= t.cap then evict_one t;
+  if not (Tbl.mem t.tbl k) then begin
+    if Tbl.length t.tbl >= t.cap then evict_one t;
     Queue.push k t.order
   end;
-  Hashtbl.replace t.tbl k st
+  Tbl.replace t.tbl k st
+
+(* The options are constants, so a lookup allocates none. *)
+let find_key t k =
+  match Tbl.find t.tbl k with
+  | Queued -> Some Queued
+  | Started -> Some Started
+  | Cancelled -> Some Cancelled
+  | exception Not_found -> None
 
 let find t id =
   sweep t;
-  Hashtbl.find_opt t.tbl (key id)
+  find_key t (key id)
 
 let note_queued t id =
   sweep t;
@@ -122,7 +142,7 @@ let note_queued t id =
 let start t id =
   sweep t;
   let k = key id in
-  match Hashtbl.find_opt t.tbl k with
+  match find_key t k with
   | Some Cancelled -> `Retracted
   | Some (Queued | Started) | None ->
     set t k Started;
@@ -131,7 +151,7 @@ let start t id =
 let cancel t id =
   sweep t;
   let k = key id in
-  match Hashtbl.find_opt t.tbl k with
+  match find_key t k with
   | Some Queued ->
     set t k Cancelled;
     lease t k;
@@ -147,9 +167,9 @@ let cancel t id =
 
 let size t =
   sweep t;
-  Hashtbl.length t.tbl
+  Tbl.length t.tbl
 
 let reset t =
-  Hashtbl.reset t.tbl;
+  Tbl.reset t.tbl;
   Queue.clear t.order;
   Queue.clear t.tombs

@@ -153,7 +153,7 @@ let size_bytes m =
 (* The journal describes every message twice, on send and on receive,
    so this builds by plain concatenation: [Printf] allocates several
    times as much. *)
-let describe =
+let render =
   let i = string_of_int and nm = Name.to_string in
   function
   | Inv_request { target; op; _ } -> "inv_request " ^ nm target ^ "." ^ op
@@ -198,6 +198,59 @@ let describe =
   | Dir_nack { target; _ } -> "dir_nack " ^ nm target
   (* One string per epoch: the member list would re-spell the epoch. *)
   | Epoch_announce { epoch; _ } -> "epoch e" ^ i epoch
+
+(* An invocation's request and reply are described on every send and
+   receive, so their texts are memoised by the fields they print: a
+   request's by target and operation, a reply's by origin node.  The
+   memo caches a pure function, so sharing it between clusters changes
+   no text; [memo_cap] bounds the targets it holds. *)
+let memo_cap = 4096
+let request_memo : (string * string) list Name.Table.t = Name.Table.create 64
+let reply_memo = ref [||]
+
+let rec assoc_op op = function
+  | [] -> raise Not_found
+  | (o, text) :: rest -> if String.equal o op then text else assoc_op op rest
+
+let describe_request msg ~target ~op =
+  match Name.Table.find request_memo target with
+  | known -> (
+    match assoc_op op known with
+    | text -> text
+    | exception Not_found ->
+      let text = render msg in
+      Name.Table.replace request_memo target ((op, text) :: known);
+      text)
+  | exception Not_found ->
+    let text = render msg in
+    if Name.Table.length request_memo < memo_cap then
+      Name.Table.replace request_memo target [ (op, text) ];
+    text
+
+let describe_reply msg ~origin =
+  let known = !reply_memo in
+  if origin < Array.length known && String.length known.(origin) > 0 then
+    known.(origin)
+  else begin
+    let text = render msg in
+    let known =
+      if origin < Array.length known then known
+      else begin
+        let grown = Array.make (origin + 1) "" in
+        Array.blit known 0 grown 0 (Array.length known);
+        reply_memo := grown;
+        grown
+      end
+    in
+    known.(origin) <- text;
+    text
+  end
+
+let describe msg =
+  match msg with
+  | Inv_request { target; op; _ } -> describe_request msg ~target ~op
+  | Inv_reply { inv_id; _ } -> describe_reply msg ~origin:inv_id.origin
+  | _ -> render msg
 
 (* ------------------------------------------------------------------ *)
 (* A message crosses the simulated LAN as an OCaml value; its trace

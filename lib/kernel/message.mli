@@ -182,7 +182,9 @@ val size_bytes : t -> int
 (** Modelled wire size, including a fixed per-message header. *)
 
 val describe : t -> string
-(** Short human-readable tag for tracing. *)
+(** Short human-readable tag for tracing.  An invocation's request and
+    reply texts are memoised by the fields they print, so describing
+    them again allocates nothing. *)
 
 (** {1 In-sim envelope}
 

@@ -18,6 +18,8 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** The ["obj<B.S>"] form, the same text as {!pp}.  It is rendered once,
+    when the name is made, so this allocates nothing. *)
 
 val of_string : string -> t option
 (** Inverse of {!to_string}: parses exactly the ["obj<B.S>"] form with

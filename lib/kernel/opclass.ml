@@ -32,10 +32,10 @@ let validate specs ~operations =
   in
   check_specs [] [] specs
 
-let class_of specs ~op =
-  match List.find_opt (fun s -> List.mem op s.operations) specs with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Opclass.class_of: %S unclassified" op)
+let rec class_of specs ~op =
+  match specs with
+  | [] -> invalid_arg (Printf.sprintf "Opclass.class_of: %S unclassified" op)
+  | s :: rest -> if List.mem op s.operations then s else class_of rest ~op
 
 let singleton_classes ~operations ~limit =
   List.map

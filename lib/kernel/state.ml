@@ -39,6 +39,10 @@ type work = {
 
 type obj_status = Running | Draining | Dead
 
+(* One invocation class of one object: how many of its invocations
+   run, and the admitted work waiting for a slot. *)
+type class_state = { mutable cs_running : int; cs_queue : work Fifo.t }
+
 type obj = {
   ob_name : Name.t;
   ob_type : Typemgr.t;
@@ -50,8 +54,7 @@ type obj = {
   ob_is_replica : bool;
   ob_queue : work Mailbox.t;  (* the coordinator's port *)
   ob_stash : work Fifo.t;  (* held while draining for a move *)
-  ob_class_running : (string, int ref) Hashtbl.t;
-  ob_class_queue : (string, work Fifo.t) Hashtbl.t;
+  ob_classes : (string, class_state) Hashtbl.t;  (* by class name *)
   ob_inflight : (int, work) Hashtbl.t;  (* pid -> work being served *)
   mutable ob_running_total : int;
   ob_drained : Condition.t;
@@ -794,8 +797,7 @@ let build_obj cl ~name ~tm ~repr ~frozen ~reliability ~home ~is_replica ~mem =
       ob_is_replica = is_replica;
       ob_queue = Mailbox.create cl.eng;
       ob_stash = Fifo.create ();
-      ob_class_running = Hashtbl.create 4;
-      ob_class_queue = Hashtbl.create 4;
+      ob_classes = Hashtbl.create 4;
       ob_inflight = Hashtbl.create 4;
       ob_running_total = 0;
       ob_drained = Condition.create cl.eng;

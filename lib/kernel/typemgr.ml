@@ -15,6 +15,9 @@ type t = {
   short_term : int;
   reinc : (Api.ctx -> unit) option;
   behs : behaviour list;
+  found : (string * operation option) list;
+      (* each operation by name, its option made once so that
+         [find_operation] allocates nothing *)
 }
 
 let make ~name ?classes ?(code_bytes = 16_384) ?(short_term_bytes = 4_096)
@@ -46,6 +49,7 @@ let make ~name ?classes ?(code_bytes = 16_384) ?(short_term_bytes = 4_096)
             short_term = short_term_bytes;
             reinc = reincarnate;
             behs = behaviours;
+            found = List.map (fun o -> (o.op_name, Some o)) operations;
           }
     end
   end
@@ -67,8 +71,11 @@ let short_term_bytes t = t.short_term
 let reincarnate t = t.reinc
 let behaviours t = t.behs
 
-let find_operation t op =
-  List.find_opt (fun o -> String.equal o.op_name op) t.ops
+let rec lookup op = function
+  | [] -> None
+  | (name, found) :: rest -> if String.equal name op then found else lookup op rest
+
+let find_operation t op = lookup op t.found
 
 let operation ?(required = []) ?(mutates = true) op_name op_handler =
   {

@@ -104,7 +104,7 @@ let bridge_carry net ~arrived_on env =
         net.n_bridge_drops <- net.n_bridge_drops + 1
       else begin
         net.n_bridge_forwards <- net.n_bridge_forwards + 1;
-        Engine.schedule net.eng ~after:net.bridge_latency (fun () ->
+        Engine.schedule_after net.eng net.bridge_latency (fun () ->
             if net.partitioned.(arrived_on) || net.partitioned.(seg) then
               net.n_bridge_drops <- net.n_bridge_drops + 1
             else
@@ -118,7 +118,7 @@ let bridge_carry net ~arrived_on env =
         net.n_bridge_drops <- net.n_bridge_drops + 1
       else begin
         net.n_bridge_forwards <- net.n_bridge_forwards + 1;
-        Engine.schedule net.eng ~after:net.bridge_latency (fun () ->
+        Engine.schedule_after net.eng net.bridge_latency (fun () ->
             if net.partitioned.(arrived_on) then
               net.n_bridge_drops <- net.n_bridge_drops + 1
             else
@@ -247,7 +247,7 @@ let apply_fault net ~src ~dst ~msgs ~items transmit =
       transmit ()
     | Delay d ->
       emit net (Ev_hold { src; dst; msgs; by = d; items });
-      Engine.schedule net.eng ~after:d transmit)
+      Engine.schedule_after net.eng d transmit)
 
 (* [apply_fault] for one payload.  Only an injector's [Delay] verdict
    reads [items], so the list is built only when an injector is armed. *)
@@ -360,7 +360,7 @@ let send ep ~dst payload =
         else if pb.pb_count = 1 then begin
           (* First message in a fresh batch arms the delay budget. *)
           let gen = pb.pb_gen in
-          Engine.schedule net.eng ~after:co.co_max_delay (fun () ->
+          Engine.schedule_after net.eng co.co_max_delay (fun () ->
               if pb.pb_gen = gen then flush_to ep dst)
         end
       end

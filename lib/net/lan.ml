@@ -117,7 +117,7 @@ let close_window lan =
   end
   else begin
     lan.c_collisions <- lan.c_collisions + 1;
-    Engine.schedule lan.eng ~after:lan.prm.jam lan.on_release;
+    Engine.schedule_after lan.eng lan.prm.jam lan.on_release;
     Engine.schedule lan.eng first.st_step;
     while not (Fifo.is_empty lan.window) do
       Engine.schedule lan.eng (Fifo.pop_exn lan.window).st_step
@@ -140,7 +140,7 @@ let sense lan st =
   | Contending -> contend lan st
   | Idle ->
     lan.state <- Contending;
-    Engine.schedule lan.eng ~after:lan.prm.slot lan.on_close;
+    Engine.schedule_after lan.eng lan.prm.slot lan.on_close;
     contend lan st
 
 let take_next lan st =
@@ -151,9 +151,7 @@ let take_next lan st =
   end
 
 let head_frame_time lan st =
-  match Fifo.peek st.st_tx with
-  | Some frame -> Params.frame_time lan.prm ~payload_bytes:frame.bytes
-  | None -> assert false
+  Params.frame_time lan.prm ~payload_bytes:(Fifo.peek_exn st.st_tx).bytes
 
 let resolve lan st =
   if st.st_won then begin
@@ -165,7 +163,7 @@ let resolve lan st =
       else Time.zero
     in
     st.st_phase <- Finish;
-    Engine.schedule lan.eng ~after:remainder st.st_step
+    Engine.schedule_after lan.eng remainder st.st_step
   end
   else if st.st_attempt >= lan.prm.max_attempts then begin
     lan.c_dropped <- lan.c_dropped + 1;
@@ -181,14 +179,14 @@ let resolve lan st =
     in
     st.st_attempt <- st.st_attempt + 1;
     st.st_phase <- Sense;
-    Engine.schedule lan.eng ~after:(Time.scale lan.prm.slot k) st.st_step
+    Engine.schedule_after lan.eng (Time.scale lan.prm.slot k) st.st_step
   end
 
 let finish lan st =
   lan.busy <- Time.add lan.busy (head_frame_time lan st);
   release lan;
   Fifo.push_exn lan.in_flight (Fifo.pop_exn st.st_tx);
-  Engine.schedule lan.eng ~after:lan.prm.prop_delay lan.on_arrive;
+  Engine.schedule_after lan.eng lan.prm.prop_delay lan.on_arrive;
   take_next lan st
 
 let step lan st =

@@ -221,9 +221,9 @@ let intern t slot s =
   if String.equal s m then m
   else
     let c =
-      match Strtbl.find_opt t.jn_intern s with
-      | Some c -> c
-      | None ->
+      match Strtbl.find t.jn_intern s with
+      | c -> c
+      | exception Not_found ->
         if Strtbl.length t.jn_intern < intern_cap then
           Strtbl.add t.jn_intern s s;
         s

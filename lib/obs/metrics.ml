@@ -8,7 +8,9 @@ type gauge = float ref
 type histogram = {
   h_bounds : float array;
   h_counts : int array;  (* one per bound, plus overflow at the end *)
-  mutable h_sum : float;
+  h_sum : float array;
+      (* one cell: a float array stores it unboxed, so an observation
+         allocates nothing *)
   mutable h_n : int;
 }
 
@@ -95,7 +97,7 @@ let histogram reg ?labels ~buckets name =
         {
           h_bounds = Array.copy buckets;
           h_counts = Array.make (Array.length buckets + 1) 0;
-          h_sum = 0.0;
+          h_sum = [| 0.0 |];
           h_n = 0;
         }
       in
@@ -105,19 +107,24 @@ let histogram reg ?labels ~buckets name =
    overflow while turning [h_sum] into NaN for good; a negative one
    lands in the first bucket and drags the sum down.  Histograms here
    record magnitudes (durations, sizes), so both are measurement bugs:
-   drop them instead of polluting the buckets. *)
-let observe h v =
+   drop them instead of polluting the buckets.  Inlined into
+   [observe_time], so the converted duration is never boxed. *)
+let[@inline] observe h v =
   if Float.is_nan v || v < 0.0 || v = infinity then ()
   else begin
     let n = Array.length h.h_bounds in
-    let rec slot i = if i >= n || v <= h.h_bounds.(i) then i else slot (i + 1) in
-    let i = slot 0 in
-    h.h_counts.(i) <- h.h_counts.(i) + 1;
-    h.h_sum <- h.h_sum +. v;
+    let i = ref 0 in
+    while !i < n && not (v <= h.h_bounds.(!i)) do
+      incr i
+    done;
+    h.h_counts.(!i) <- h.h_counts.(!i) + 1;
+    h.h_sum.(0) <- h.h_sum.(0) +. v;
     h.h_n <- h.h_n + 1
   end
 
-let observe_time h t = observe h (Time.to_sec t)
+(* [Time.to_sec], spelt out: the float a call into another module
+   returns is boxed. *)
+let observe_time h (t : Time.t) = observe h (Float.of_int (t :> int) /. 1e9)
 
 let register_counter_fn reg ?labels name f =
   intern reg ?labels name
@@ -157,7 +164,7 @@ let read = function
         counts = Array.sub h.h_counts 0 n;
         overflow = h.h_counts.(n);
         count = h.h_n;
-        sum = h.h_sum;
+        sum = h.h_sum.(0);
       }
 
 let compare_labels a b =

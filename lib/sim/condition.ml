@@ -1,27 +1,27 @@
 open Eden_util
 
-type t = { eng : Engine.t; queue : Engine.handle Fifo.t }
+type t = {
+  eng : Engine.t;
+  queue : Engine.handle Fifo.t;
+  enqueue : Engine.handle -> unit;  (* [await]'s registration, made once *)
+}
 
-let create eng = { eng; queue = Fifo.create () }
+let create eng =
+  let queue = Fifo.create () in
+  { eng; queue; enqueue = (fun h -> Fifo.push_exn queue h) }
 
-let await ?timeout c =
-  Engine.suspend ?timeout (fun h -> Fifo.push_exn c.queue h)
+let await ?timeout c = Engine.suspend ?timeout c.enqueue
 
 let rec signal c =
-  match Fifo.pop c.queue with
-  | None -> ()
-  | Some h ->
+  if not (Fifo.is_empty c.queue) then
+    let h = Fifo.pop_exn c.queue in
     if Engine.handle_pending h then Engine.wake c.eng h else signal c
 
 let broadcast c =
-  let rec drain () =
-    match Fifo.pop c.queue with
-    | None -> ()
-    | Some h ->
-      if Engine.handle_pending h then Engine.wake c.eng h;
-      drain ()
-  in
-  drain ()
+  while not (Fifo.is_empty c.queue) do
+    let h = Fifo.pop_exn c.queue in
+    if Engine.handle_pending h then Engine.wake c.eng h
+  done
 
 let waiters c =
   let n = ref 0 in

@@ -90,6 +90,7 @@ let fork_rng eng = Splitmix.split eng.root_rng
 let push eng time f = Pqueue.push eng.heap (Time.to_ns time) f
 
 let schedule eng ?(after = Time.zero) f = push eng (Time.add eng.clock after) f
+let schedule_after eng d f = push eng (Time.add eng.clock d) f
 
 let current eng =
   match eng.current with Some p -> p | None -> assert false
@@ -109,11 +110,15 @@ let finish_current eng =
   finish eng (current eng);
   eng.current <- None
 
-(* Queue [p]'s resume, with [v], at [time]. *)
-let wake_at eng p time v =
-  p.p_v <- v;
+(* Queue [p]'s resume at [time]; [wake_at] also sets what it resumes
+   with. *)
+let resume_at eng p time =
   p.p_state <- Sched;
   push eng time p.p_resume
+
+let wake_at eng p time v =
+  p.p_v <- v;
+  resume_at eng p time
 
 (* The body of every process event: start [p], or resume its parked
    continuation — with [Killed] if it was killed meanwhile. *)
@@ -149,6 +154,8 @@ let on_suspend eng k =
   eng.current <- None;
   p.p_k <- Some k;
   p.p_state <- Blocked;
+  (* Until a wake says otherwise: [was_woken] reads it after a kill. *)
+  p.p_v <- Timed_out;
   p.p_suspends <- p.p_suspends + 1;
   let h = { h_proc = p; h_suspend = p.p_suspends } in
   (match eng.arg_timeout with
@@ -252,8 +259,9 @@ let kill eng pid =
          will observe [p_killed]. *)
       p.p_killed <- true
     | Blocked ->
+      (* Nothing woke this suspension, and [p_v] keeps saying so. *)
       p.p_killed <- true;
-      wake_at eng p eng.clock Woken)
+      resume_at eng p eng.clock)
 
 let alive eng pid = Hashtbl.mem eng.procs (Pid.to_int pid)
 
@@ -275,6 +283,7 @@ let suspend ?timeout register =
 let wake eng h = if handle_pending h then wake_at eng h.h_proc eng.clock Woken
 
 let handle_pid h = h.h_proc.p_pid
+let was_woken eng = (current eng).p_v = Woken
 
 let set_daemon eng pid =
   match find_proc eng pid with

@@ -81,9 +81,15 @@ val alive : t -> Pid.t -> bool
     process once it finishes, so it holds only live ones. *)
 
 val schedule : t -> ?after:Eden_util.Time.t -> (unit -> unit) -> unit
-(** [schedule t f] runs the plain (non-blocking) callback [f] at
-    [now + after] (default: now).  [f] must not perform blocking
-    operations. *)
+(** [schedule t f] runs the plain (non-blocking) callback [f] now,
+    behind the events already queued for this instant.  [f] must not
+    perform blocking operations.  [~after d] is {!schedule_after}, but
+    boxes [d] in an option on every call; it is kept only for the
+    benchmark's engine probe, which this library does not own. *)
+
+val schedule_after : t -> Eden_util.Time.t -> (unit -> unit) -> unit
+(** [schedule_after t d f] runs the plain callback [f] at [now + d].
+    Timers, the MAC and the kernel use it; it allocates nothing. *)
 
 (** {2 Operations callable only inside a process} *)
 
@@ -112,6 +118,14 @@ val handle_pending : handle -> bool
     primitives skip stale queue entries. *)
 
 val handle_pid : handle -> Pid.t
+
+val was_woken : t -> bool
+(** Inside a process whose last {!suspend} raised instead of returning
+    ({!Killed}, {!Stalled_waiting}): whether {!wake} had resumed that
+    suspension first.  A primitive whose waker hands something over
+    with the wake (a semaphore's permit, a mailbox's message) calls it
+    on that exception path to pass the hand-off on rather than lose
+    it. *)
 
 (** {2 Running} *)
 

@@ -2,7 +2,10 @@
 
     Delivery uses direct hand-off: a value given to a blocked receiver
     cannot be intercepted by another receiver arriving at the same
-    instant.  A mailbox may be bounded, in which case {!send} blocks
+    instant, and a receiver killed after the hand-off but before it ran
+    passes the message on to the next receiver (or back to the head of
+    the buffer), so no message is lost with it.  A blocking {!recv}
+    allocates nothing in the mailbox.  A mailbox may be bounded, in which case {!send} blocks
     while the buffer is full. *)
 
 type 'a t

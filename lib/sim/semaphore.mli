@@ -3,7 +3,10 @@
     {!release} transfers a permit directly to the longest-waiting
     blocked process (if any), so a permit can never be stolen by a
     process that arrives between release and resumption: if {!acquire}
-    returns [true] the caller holds a permit. *)
+    returns [true] the caller holds a permit.  A process killed after a
+    release handed it the permit, but before it ran, passes the permit
+    on, so a kill never loses one.  Neither {!acquire} nor {!release}
+    allocates, beyond what a blocking wait costs the engine. *)
 
 type t
 

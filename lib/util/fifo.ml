@@ -1,15 +1,25 @@
+(* A ring of plain elements: [push] stores the element itself, so a
+   push/pop round trip allocates nothing.  The array is made on the
+   first push, filled with [filler], an immediate; a popped slot gets
+   [filler] back so the queue keeps nothing reachable.  Because the
+   array is never made from an element, a [float t] holds boxed floats
+   in an ordinary array, never a flat float array that [filler] could
+   not be stored into. *)
 type 'a t = {
   capacity : int option;
-  mutable data : 'a option array;
+  mutable data : 'a array;
   mutable head : int; (* index of front element *)
   mutable size : int;
 }
+
+let filler () : 'a = Obj.magic 0
+let initial_size = 8
 
 let create ?capacity () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Fifo.create: capacity must be positive"
   | Some _ | None -> ());
-  { capacity; data = Array.make 8 None; head = 0; size = 0 }
+  { capacity; data = [||]; head = 0; size = 0 }
 
 let length q = q.size
 let is_empty q = q.size = 0
@@ -21,10 +31,12 @@ let is_full q =
 
 let capacity q = q.capacity
 
+(* Make room for one more element: the first array, or one twice the
+   size with the elements moved to its front. *)
 let grow q =
   let cap = Array.length q.data in
   if q.size = cap then begin
-    let ndata = Array.make (cap * 2) None in
+    let ndata = Array.make (if cap = 0 then initial_size else cap * 2) (filler ()) in
     for i = 0 to q.size - 1 do
       ndata.(i) <- q.data.((q.head + i) mod cap)
     done;
@@ -37,41 +49,53 @@ let push q v =
   else begin
     grow q;
     let tail = (q.head + q.size) mod Array.length q.data in
-    q.data.(tail) <- Some v;
+    q.data.(tail) <- v;
     q.size <- q.size + 1;
     true
   end
 
 let push_exn q v = if not (push q v) then invalid_arg "Fifo.push_exn: full"
 
-let pop q =
-  if q.size = 0 then None
+let push_front q v =
+  if is_full q then invalid_arg "Fifo.push_front: full";
+  grow q;
+  let cap = Array.length q.data in
+  q.head <- (q.head + cap - 1) mod cap;
+  q.data.(q.head) <- v;
+  q.size <- q.size + 1
+
+let pop_exn q =
+  if q.size = 0 then invalid_arg "Fifo.pop_exn: empty"
   else begin
     let v = q.data.(q.head) in
-    q.data.(q.head) <- None;
+    q.data.(q.head) <- filler ();
     q.head <- (q.head + 1) mod Array.length q.data;
     q.size <- q.size - 1;
     v
   end
 
-let pop_exn q =
-  match pop q with
-  | Some v -> v
-  | None -> invalid_arg "Fifo.pop_exn: empty"
+let pop q = if q.size = 0 then None else Some (pop_exn q)
 
-let peek q = if q.size = 0 then None else q.data.(q.head)
+let peek_exn q =
+  if q.size = 0 then invalid_arg "Fifo.peek_exn: empty" else q.data.(q.head)
+
+let peek q = if q.size = 0 then None else Some q.data.(q.head)
 
 let clear q =
-  q.data <- Array.make 8 None;
+  q.data <- [||];
   q.head <- 0;
   q.size <- 0
 
 let iter f q =
   for i = 0 to q.size - 1 do
-    match q.data.((q.head + i) mod Array.length q.data) with
-    | Some v -> f v
-    | None -> assert false
+    f q.data.((q.head + i) mod Array.length q.data)
   done
+
+let exists f q =
+  let rec from i =
+    i < q.size && (f q.data.((q.head + i) mod Array.length q.data) || from (i + 1))
+  in
+  from 0
 
 let to_list q =
   let acc = ref [] in

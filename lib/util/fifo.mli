@@ -1,14 +1,22 @@
 (** Mutable FIFO queue with optional capacity bound.
 
-    A thin ring-buffer queue used for run queues, mailboxes and device
+    A ring-buffer queue used for run queues, mailboxes and device
     request queues.  Unlike [Stdlib.Queue] it supports a capacity bound
-    ([push] reports refusal rather than growing) and O(1) [length]. *)
+    ([push] reports refusal rather than growing) and O(1) [length].
+
+    The ring stores the elements themselves, in an array made on the
+    first push and doubled when full, so a {!push} / {!pop_exn} round
+    trip allocates nothing.  A popped slot is overwritten, so the queue
+    keeps no popped element reachable.  {!pop} and {!peek} allocate the
+    option they return; hot paths test {!is_empty} and use {!pop_exn}
+    or {!peek_exn}. *)
 
 type 'a t
 
 val create : ?capacity:int -> unit -> 'a t
 (** [create ?capacity ()] is an empty queue.  [capacity], if given, is
-    the maximum number of queued elements; it must be positive. *)
+    the maximum number of queued elements; it must be positive.  No
+    storage is allocated until the first push. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
@@ -22,10 +30,28 @@ val push : 'a t -> 'a -> bool
 val push_exn : 'a t -> 'a -> unit
 (** Like {!push} but raises [Invalid_argument] when full. *)
 
+val push_front : 'a t -> 'a -> unit
+(** Put [v] back at the front, to be popped next; raises
+    [Invalid_argument] when full. *)
+
 val pop : 'a t -> 'a option
+
 val pop_exn : 'a t -> 'a
+(** Remove and return the front element; raises [Invalid_argument] when
+    the queue is empty. *)
+
 val peek : 'a t -> 'a option
+
+val peek_exn : 'a t -> 'a
+(** The front element, left in place; raises [Invalid_argument] when
+    the queue is empty. *)
+
 val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
+
+val exists : ('a -> bool) -> 'a t -> bool
+(** Whether some queued element satisfies the predicate, front to
+    back. *)
+
 val to_list : 'a t -> 'a list
 (** Front-to-back snapshot. *)

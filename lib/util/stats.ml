@@ -6,7 +6,9 @@ type t = {
 
 let create () = { samples = Array.make 16 0.0; size = 0; sorted = true }
 
-let add s x =
+(* Inlined into [add_time], so the sample it converts goes straight
+   into the float array without being boxed for the call. *)
+let[@inline] add s x =
   if s.size = Array.length s.samples then begin
     let ndata = Array.make (s.size * 2) 0.0 in
     Array.blit s.samples 0 ndata 0 s.size;
@@ -16,7 +18,9 @@ let add s x =
   s.size <- s.size + 1;
   s.sorted <- false
 
-let add_time s t = add s (Time.to_sec t)
+(* [Time.to_sec], spelt out: the float a call into another module
+   returns is boxed. *)
+let add_time s (t : Time.t) = add s (Float.of_int (t :> int) /. 1e9)
 let count s = s.size
 
 let total s =

@@ -78,6 +78,32 @@ let test_cpu_parallelism () =
     "fully utilised" 1.0
     (Cpu.utilisation cpu ~over:(Engine.now eng))
 
+(* An uncontended job costs what the engine's delay costs (about 7
+   words, see test_sim's "words per event") and nothing more: the
+   semaphore hand-off and the wait sample allocate nothing. *)
+let consume_words_bound = 7.5
+
+let test_cpu_consume_words () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~gdps:1 ~name:"cpu" in
+  let jobs = 20_000 in
+  let run () =
+    ignore
+      (Engine.spawn eng (fun () ->
+           for _ = 1 to jobs do
+             Cpu.consume cpu (Time.us 1)
+           done));
+    Engine.run eng
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = (Gc.minor_words () -. before) /. float_of_int jobs in
+  Printf.printf "minor words per uncontended Cpu.consume: %.2f\n" words;
+  if words > consume_words_bound then
+    Alcotest.failf "%.2f minor words per Cpu.consume, bound %.1f" words
+      consume_words_bound
+
 let test_cpu_zero_demand () =
   let eng = Engine.create () in
   let cpu = Cpu.create eng ~gdps:1 ~name:"cpu" in
@@ -179,6 +205,8 @@ let () =
         [
           Alcotest.test_case "parallelism" `Quick test_cpu_parallelism;
           Alcotest.test_case "zero demand" `Quick test_cpu_zero_demand;
+          Alcotest.test_case "uncontended consume words" `Quick
+            test_cpu_consume_words;
         ] );
       ( "disk",
         [

@@ -403,13 +403,13 @@ let test_soak_with_failures () =
                done));
         (* Failure injection, scheduled relative to the end of setup so
            the population is in place when machines start dying. *)
-        Engine.schedule eng ~after:(Time.ms 120) (fun () ->
+        Engine.schedule_after eng (Time.ms 120) (fun () ->
             Cluster.crash_node cl 1);
-        Engine.schedule eng ~after:(Time.ms 320) (fun () ->
+        Engine.schedule_after eng (Time.ms 320) (fun () ->
             Cluster.restart_node cl 1);
-        Engine.schedule eng ~after:(Time.ms 450) (fun () ->
+        Engine.schedule_after eng (Time.ms 450) (fun () ->
             Cluster.crash_node cl 2);
-        Engine.schedule eng ~after:(Time.ms 650) (fun () ->
+        Engine.schedule_after eng (Time.ms 650) (fun () ->
             Cluster.restart_node cl 2))
   in
   Cluster.run cl;

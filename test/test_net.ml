@@ -147,7 +147,7 @@ let test_carrier_sense_defers () =
       arrivals := (f.Lan.payload, Engine.now eng) :: !arrivals);
   Lan.send sts.(0) ~dest:(Lan.Unicast 2) ~bytes:1_000 "long";
   (* 1000B -> 1026B on wire -> 820.8us. Start the second frame mid-way. *)
-  Engine.schedule eng ~after:(Time.us 400) (fun () ->
+  Engine.schedule_after eng (Time.us 400) (fun () ->
       Lan.send sts.(1) ~dest:(Lan.Unicast 2) ~bytes:64 "short");
   Engine.run eng;
   let c = Lan.counters lan in
@@ -169,7 +169,7 @@ let test_determinism () =
     for i = 0 to 199 do
       let src = i mod 5 in
       let dst = (src + 1 + Splitmix.int rng 4) mod 5 in
-      Engine.schedule eng ~after:(Time.us (Splitmix.int rng 20_000)) (fun () ->
+      Engine.schedule_after eng (Time.us (Splitmix.int rng 20_000)) (fun () ->
           Lan.send sts.(src) ~dest:(Lan.Unicast dst) ~bytes:200 ())
     done;
     Engine.run eng;
@@ -254,7 +254,7 @@ let test_golden_schedule () =
   done;
   for i = 12 to 299 do
     let src, dest, bytes = draw () in
-    Engine.schedule eng ~after:(Time.us (Splitmix.int rng 150_000)) (fun () ->
+    Engine.schedule_after eng (Time.us (Splitmix.int rng 150_000)) (fun () ->
         Lan.send sts.(src) ~dest ~bytes i)
   done;
   Engine.run eng;
@@ -284,7 +284,7 @@ let test_golden_schedule () =
    idle whenever a frame starts.  Allocation is deterministic for a
    given build, so the figure is exact and the bound sits about 15%
    above it. *)
-let words_per_frame_bound = 23.0
+let words_per_frame_bound = 7.0
 
 let test_words_per_frame () =
   let eng = Engine.create () in
@@ -325,7 +325,7 @@ let prop_all_frames_accounted =
       for _ = 1 to frames do
         let src = Splitmix.int rng n in
         let dst = (src + 1 + Splitmix.int rng (n - 1)) mod n in
-        Engine.schedule eng ~after:(Time.us (Splitmix.int rng 50_000))
+        Engine.schedule_after eng (Time.us (Splitmix.int rng 50_000))
           (fun () -> Lan.send sts.(src) ~dest:(Lan.Unicast dst) ~bytes:128 ())
       done;
       Engine.run eng;
@@ -563,7 +563,7 @@ let test_partition_kills_frames_in_flight () =
   (* The frame reaches the bridge after ~80us of MAC time and sits in
      the 500us store-and-forward queue; cutting the destination segment
      at 300us must kill it there. *)
-  Engine.schedule eng ~after:(Time.us 300) (fun () ->
+  Engine.schedule_after eng (Time.us 300) (fun () ->
       Internet.set_partitioned inet 1 true);
   Engine.run eng;
   check_int "queued frame dropped at the bridge" 0 !got;
@@ -688,7 +688,7 @@ let test_co_budget_vs_timeout_ordering () =
   let got = ref [] in
   Internet.on_message eps.(1) (fun ~src:_ msg -> got := msg :: !got);
   List.iter (fun m -> Internet.send eps.(0) ~dst:1 m) [ "a"; "b"; "c" ];
-  Engine.schedule eng ~after:(Time.us 100) (fun () ->
+  Engine.schedule_after eng (Time.us 100) (fun () ->
       Internet.send eps.(0) ~dst:1 "d";
       Internet.send eps.(0) ~dst:1 "e");
   Engine.run eng;
@@ -750,7 +750,7 @@ let test_co_partition_cuts_whole_batch () =
   Internet.send eps.(0) ~dst:2 "two";
   (* Budget flush at t=0; the envelope reaches the bridge after ~80us
      of MAC time and sits in the 500us store-and-forward queue. *)
-  Engine.schedule eng ~after:(Time.us 300) (fun () ->
+  Engine.schedule_after eng (Time.us 300) (fun () ->
       Internet.set_partitioned inet 1 true);
   Engine.run eng;
   check_int "no member survived" 0 !got;

@@ -33,7 +33,7 @@ let test_same_time_fifo () =
   let eng = Engine.create () in
   let order = ref [] in
   for i = 1 to 5 do
-    Engine.schedule eng ~after:(t_ms 1) (fun () -> order := i :: !order)
+    Engine.schedule_after eng (t_ms 1) (fun () -> order := i :: !order)
   done;
   Engine.run eng;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5 ] (List.rev !order)
@@ -150,7 +150,7 @@ let test_kill_blocked_runs_finalisers () =
           ~finally:(fun () -> cleaned := true)
           (fun () -> ignore (Condition.await cond)))
   in
-  Engine.schedule eng ~after:(t_ms 1) (fun () -> Engine.kill eng victim);
+  Engine.schedule_after eng (t_ms 1) (fun () -> Engine.kill eng victim);
   Engine.run eng;
   check_bool "finaliser ran" true !cleaned;
   check_bool "dead" false (Engine.alive eng victim)
@@ -182,7 +182,7 @@ let test_self_kill () =
 let test_kill_idempotent () =
   let eng = Engine.create () in
   let victim = Engine.spawn eng (fun () -> Engine.delay (t_ms 10)) in
-  Engine.schedule eng ~after:(t_ms 1) (fun () ->
+  Engine.schedule_after eng (t_ms 1) (fun () ->
       Engine.kill eng victim;
       Engine.kill eng victim);
   Engine.run eng;
@@ -199,7 +199,7 @@ let test_kill_then_wake_is_noop () =
         ignore (Condition.await cond);
         resumed := true)
   in
-  Engine.schedule eng ~after:(t_ms 1) (fun () ->
+  Engine.schedule_after eng (t_ms 1) (fun () ->
       Engine.kill eng victim;
       Condition.signal cond);
   Engine.run eng;
@@ -217,7 +217,7 @@ let test_finished_processes_forgotten () =
     | 0 -> Engine.spawn eng (fun () -> Engine.delay (t_ns 1))
     | 1 ->
       let p = Engine.spawn eng (fun () -> ignore (Engine.suspend ignore)) in
-      Engine.schedule eng ~after:(t_ns 1) (fun () -> Engine.kill eng p);
+      Engine.schedule_after eng (t_ns 1) (fun () -> Engine.kill eng p);
       p
     | _ ->
       let p = Engine.spawn eng ~at:(t_ns 1) (fun () -> ()) in
@@ -267,7 +267,7 @@ let test_drained_events_released () =
   let load () =
     for i = 0 to callbacks - 1 do
       let data = capture i in
-      Engine.schedule eng ~after:(t_ns (i mod 97)) (fun () ->
+      Engine.schedule_after eng (t_ns (i mod 97)) (fun () ->
           sum := !sum + data.(0))
     done;
     (* Processes that hold their data across a delay, a wake and a
@@ -289,7 +289,7 @@ let test_drained_events_released () =
                  (Engine.suspend ~timeout:(t_ms 1) (fun h ->
                       waiting := Some h));
                use ()));
-        Engine.schedule eng ~after:(t_ns 10) (fun () ->
+        Engine.schedule_after eng (t_ns 10) (fun () ->
             Option.iter (Engine.wake eng) !waiting;
             waiting := None)
       | _ ->
@@ -422,10 +422,10 @@ let test_condition_signal_wakes_one () =
            ignore (Condition.await cond);
            incr woken))
   done;
-  Engine.schedule eng ~after:(t_ms 1) (fun () ->
+  Engine.schedule_after eng (t_ms 1) (fun () ->
       check_int "three waiting" 3 (Condition.waiters cond);
       Condition.signal cond);
-  Engine.schedule eng ~after:(t_ms 2) (fun () -> Condition.broadcast cond);
+  Engine.schedule_after eng (t_ms 2) (fun () -> Condition.broadcast cond);
   Engine.run eng;
   check_int "all eventually woken" 3 !woken
 
@@ -441,8 +441,8 @@ let test_condition_signal_order () =
   in
   waiter "first" (t_ns 1);
   waiter "second" (t_ns 2);
-  Engine.schedule eng ~after:(t_ms 1) (fun () -> Condition.signal cond);
-  Engine.schedule eng ~after:(t_ms 2) (fun () -> Condition.signal cond);
+  Engine.schedule_after eng (t_ms 1) (fun () -> Condition.signal cond);
+  Engine.schedule_after eng (t_ms 2) (fun () -> Condition.signal cond);
   Engine.run eng;
   Alcotest.(check (list string))
     "fifo wake order" [ "first"; "second" ] (List.rev !order)
@@ -470,7 +470,7 @@ let test_condition_signal_beats_timeout () =
     Engine.spawn eng (fun () ->
         result := Some (Condition.await ~timeout:(t_ms 5) cond))
   in
-  Engine.schedule eng ~after:(t_ms 2) (fun () -> Condition.signal cond);
+  Engine.schedule_after eng (t_ms 2) (fun () -> Condition.signal cond);
   Engine.run eng;
   (match !result with
   | Some Engine.Woken -> ()
@@ -491,7 +491,7 @@ let test_condition_timeout_entry_skipped () =
     Engine.spawn eng ~at:(t_ns 10) (fun () ->
         second := Some (Condition.await cond))
   in
-  Engine.schedule eng ~after:(t_ms 3) (fun () -> Condition.signal cond);
+  Engine.schedule_after eng (t_ms 3) (fun () -> Condition.signal cond);
   Engine.run eng;
   check_bool "first timed out" true (!first = Some Engine.Timed_out);
   check_bool "second woken" true (!second = Some Engine.Woken)
@@ -509,7 +509,7 @@ let test_stale_handle_ignored () =
         check_bool "first timed out" true (first = Engine.Timed_out);
         second := Some (Engine.suspend ~timeout:(t_ms 5) ignore))
   in
-  Engine.schedule eng ~after:(t_ms 2) (fun () ->
+  Engine.schedule_after eng (t_ms 2) (fun () ->
       let h = Option.get !stale in
       check_bool "stale handle not pending" false (Engine.handle_pending h);
       Engine.wake eng h);
@@ -582,7 +582,7 @@ let test_semaphore_handoff_no_steal () =
         ignore (Semaphore.acquire sem);
         waiter_got := true)
   in
-  Engine.schedule eng ~after:(t_ms 1) (fun () ->
+  Engine.schedule_after eng (t_ms 1) (fun () ->
       Semaphore.release sem;
       (* Same instant: the permit is already committed to the waiter. *)
       thief_got := Some (Semaphore.try_acquire sem));
@@ -695,7 +695,7 @@ let test_mailbox_handoff_no_steal () =
   let mb = Mailbox.create eng in
   let waiter_got = ref None and thief_got = ref None in
   let _ = Engine.spawn eng (fun () -> waiter_got := Mailbox.recv mb) in
-  Engine.schedule eng ~after:(t_ms 1) (fun () ->
+  Engine.schedule_after eng (t_ms 1) (fun () ->
       check_bool "sent" true (Mailbox.try_send mb 7);
       thief_got := Mailbox.try_recv mb);
   Engine.run eng;
@@ -730,7 +730,7 @@ let test_promise_await_then_fill () =
   let got_a = ref None and got_b = ref None and filled_at = ref Time.zero in
   let _ = Engine.spawn eng (fun () -> got_a := Promise.await pr) in
   let _ = Engine.spawn eng (fun () -> got_b := Promise.await pr) in
-  Engine.schedule eng ~after:(t_ms 3) (fun () ->
+  Engine.schedule_after eng (t_ms 3) (fun () ->
       ignore (Promise.fill pr 7);
       filled_at := Engine.now eng);
   Engine.run eng;
@@ -797,7 +797,7 @@ let test_two_samplers_fire () =
       log := ("a", Time.to_ns (Engine.now eng)) :: !log);
   Engine.every eng ~interval:(t_ms 2) (fun () ->
       log := ("b", Time.to_ns (Engine.now eng)) :: !log);
-  Engine.schedule eng ~after:(t_ms 4) (fun () -> ());
+  Engine.schedule_after eng (t_ms 4) (fun () -> ());
   Engine.run eng;
   Alcotest.(check (list (pair string int)))
     "both samplers, registration order on ties"
@@ -830,6 +830,94 @@ let prop_many_processes_complete =
       done;
       Engine.run eng;
       !completed = n && Engine.live_processes eng = 0)
+
+(* Neither side of an uncontended semaphore allocates: [acquire]'s
+   registration is made once per semaphore, and [release] hands off
+   without a closure. *)
+let test_semaphore_uncontended_words () =
+  let eng = Engine.create () in
+  let sem = Semaphore.create eng ~init:1 in
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Semaphore.acquire sem : bool);
+    Semaphore.release sem
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Printf.printf "minor words per uncontended acquire + release: %.2f\n" words;
+  if words > 0.0 then
+    Alcotest.failf "%.2f minor words per acquire + release, want 0" words
+
+(* [a] holds the only permit and [b] waits for it; at 1 ms [at_release]
+   runs in [a]'s place, with [b]'s pid, and the test checks what is
+   left once [b] has died. *)
+let semaphore_kill_case at_release =
+  let eng = Engine.create () in
+  let sem = Semaphore.create eng ~init:1 in
+  let b = ref None in
+  ignore
+    (Engine.spawn eng ~name:"a" (fun () ->
+         check_bool "a holds" true (Semaphore.acquire sem);
+         Engine.delay (t_ms 1);
+         at_release eng sem (Option.get !b)));
+  b :=
+    Some
+      (Engine.spawn eng ~name:"b" (fun () ->
+           ignore (Semaphore.acquire sem : bool);
+           Alcotest.fail "b ran after it was killed"));
+  Engine.run eng;
+  check_bool "b is gone" false (Engine.alive eng (Option.get !b));
+  check_int "the permit survives, once" 1 (Semaphore.permits sem);
+  check_int "nobody waits" 0 (Semaphore.waiters sem)
+
+(* Released to [b], then [b] is killed before it runs: [b] passes the
+   permit on rather than taking it to its grave. *)
+let test_semaphore_kill_after_handoff () =
+  semaphore_kill_case (fun eng sem b ->
+      Semaphore.release sem;
+      Engine.kill eng b)
+
+(* Killed first, then released while [b]'s stale handle is still
+   queued: the release skips it, and [b], never woken, must not
+   release again. *)
+let test_semaphore_kill_before_release () =
+  semaphore_kill_case (fun eng sem b ->
+      Engine.kill eng b;
+      Semaphore.release sem)
+
+(* A message handed to a blocked receiver that is killed before it runs
+   goes to the next receiver, or back to the head of the buffer. *)
+let test_mailbox_kill_after_handoff () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng in
+  let doomed =
+    Engine.spawn eng ~name:"doomed" (fun () ->
+        ignore (Mailbox.recv mb : int option);
+        Alcotest.fail "the killed receiver ran")
+  in
+  Engine.schedule_after eng (t_ms 1) (fun () ->
+      check_bool "handed" true (Mailbox.try_send mb 1);
+      check_bool "buffered" true (Mailbox.try_send mb 2);
+      Engine.kill eng doomed);
+  Engine.run eng;
+  Alcotest.(check (list (option int)))
+    "nothing lost, order kept" [ Some 1; Some 2; None ]
+    (List.init 3 (fun _ -> Mailbox.try_recv mb));
+  let got = ref [] in
+  let first =
+    Engine.spawn eng ~name:"first" (fun () ->
+        ignore (Mailbox.recv mb : int option);
+        Alcotest.fail "the killed receiver ran")
+  in
+  ignore
+    (Engine.spawn eng ~name:"second" (fun () ->
+         got := Mailbox.recv mb :: !got));
+  Engine.schedule_after eng (t_ms 1) (fun () ->
+      check_bool "handed" true (Mailbox.try_send mb 3);
+      Engine.kill eng first);
+  Engine.run eng;
+  Alcotest.(check (list (option int))) "next receiver" [ Some 3 ] !got;
+  check_int "buffer empty" 0 (Mailbox.length mb)
 
 let prop_semaphore_never_oversubscribed =
   QCheck.Test.make ~name:"semaphore never oversubscribed" ~count:30
@@ -989,6 +1077,12 @@ let () =
           Alcotest.test_case "try_acquire" `Quick test_semaphore_try_acquire;
           Alcotest.test_case "invalid" `Quick test_semaphore_invalid;
           qt prop_semaphore_never_oversubscribed;
+          Alcotest.test_case "uncontended allocates nothing" `Quick
+            test_semaphore_uncontended_words;
+          Alcotest.test_case "kill after hand-off keeps the permit" `Quick
+            test_semaphore_kill_after_handoff;
+          Alcotest.test_case "kill before release mints no permit" `Quick
+            test_semaphore_kill_before_release;
         ] );
       ( "mailbox",
         [
@@ -1001,6 +1095,8 @@ let () =
           Alcotest.test_case "handoff" `Quick test_mailbox_handoff_no_steal;
           Alcotest.test_case "try ops" `Quick test_mailbox_try_ops;
           qt prop_mailbox_fifo;
+          Alcotest.test_case "kill after hand-off keeps the message" `Quick
+            test_mailbox_kill_after_handoff;
         ] );
       ( "promise",
         [

@@ -268,6 +268,64 @@ let test_fifo_invalid () =
   Alcotest.check_raises "pop empty" (Invalid_argument "Fifo.pop_exn: empty")
     (fun () -> ignore (Fifo.pop_exn q : int))
 
+(* Minor words per call of [f], over [n] calls. *)
+let words_per ~n f =
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* The ring stores elements themselves: once its array exists, a
+   push/pop round trip allocates nothing. *)
+let test_fifo_round_trip_words () =
+  let q = Fifo.create () in
+  Fifo.push_exn q 0;
+  ignore (Fifo.pop_exn q : int);
+  let words =
+    words_per ~n:100_000 (fun i ->
+        Fifo.push_exn q i;
+        ignore (Fifo.pop_exn q : int))
+  in
+  Printf.printf "minor words per fifo push/pop: %.2f\n" words;
+  if words > 0.0 then Alcotest.failf "%.2f minor words per push/pop, want 0" words
+
+(* Floats are boxed values like any other: the ring must hold them in
+   an ordinary array (its filler is not a float), across growth and
+   wraparound. *)
+let test_fifo_floats () =
+  let q : float Fifo.t = Fifo.create () in
+  let expect = Queue.create () in
+  for round = 0 to 40 do
+    for i = 0 to round mod 7 do
+      let x = float_of_int ((round * 100) + i) +. 0.5 in
+      Fifo.push_exn q x;
+      Queue.push x expect
+    done;
+    for _ = 0 to round mod 5 do
+      if not (Fifo.is_empty q) then
+        Alcotest.(check (float 0.0)) "pop" (Queue.pop expect) (Fifo.pop_exn q)
+    done
+  done;
+  Alcotest.(check (list (float 0.0)))
+    "rest" (List.of_seq (Queue.to_seq expect)) (Fifo.to_list q)
+
+let test_fifo_front () =
+  let q = Fifo.create () in
+  Alcotest.check_raises "peek empty" (Invalid_argument "Fifo.peek_exn: empty")
+    (fun () -> ignore (Fifo.peek_exn q : int));
+  List.iter (Fifo.push_exn q) [ 2; 3; 4; 5; 6; 7; 8; 9 ];
+  Fifo.push_front q 1;
+  check_int "peek" 1 (Fifo.peek_exn q);
+  check_int "length" 9 (Fifo.length q);
+  check_bool "exists" true (Fifo.exists (fun x -> x = 9) q);
+  check_bool "not exists" false (Fifo.exists (fun x -> x = 10) q);
+  Alcotest.(check (list int)) "order" (List.init 9 succ) (Fifo.to_list q);
+  let bounded = Fifo.create ~capacity:1 () in
+  Fifo.push_front bounded 1;
+  Alcotest.check_raises "front full" (Invalid_argument "Fifo.push_front: full")
+    (fun () -> Fifo.push_front bounded 2)
+
 let prop_fifo_preserves_order =
   QCheck.Test.make ~name:"fifo preserves order" ~count:200
     QCheck.(list small_int)
@@ -407,6 +465,17 @@ let test_histogram_edges () =
   check_int "just below lo underflows" 1 (Stats.Histogram.underflow h);
   check_int "all accounted" 5 (Stats.Histogram.total h)
 
+(* A duration goes into the sample array unboxed.  The array is grown
+   first, so the measured adds allocate nothing at all. *)
+let test_stats_add_time_words () =
+  let s = Stats.create () in
+  for i = 1 to 100_000 do
+    Stats.add_time s (Time.ns i)
+  done;
+  let words = words_per ~n:20_000 (fun i -> Stats.add_time s (Time.ns i)) in
+  Printf.printf "minor words per Stats.add_time: %.2f\n" words;
+  if words > 0.0 then Alcotest.failf "%.2f minor words per add_time, want 0" words
+
 let test_stats_add_after_sort () =
   let s = Stats.create () in
   Stats.add s 5.0;
@@ -538,6 +607,11 @@ let () =
           Alcotest.test_case "capacity" `Quick test_fifo_capacity;
           Alcotest.test_case "invalid" `Quick test_fifo_invalid;
           qt prop_fifo_preserves_order;
+          Alcotest.test_case "round trip allocates nothing" `Quick
+            test_fifo_round_trip_words;
+          Alcotest.test_case "float elements" `Quick test_fifo_floats;
+          Alcotest.test_case "push_front, peek_exn, exists" `Quick
+            test_fifo_front;
         ] );
       ( "stats",
         [
@@ -556,6 +630,8 @@ let () =
           Alcotest.test_case "histogram" `Quick test_histogram;
           qt prop_stats_mean_bounded;
           qt prop_stats_percentile_monotone;
+          Alcotest.test_case "add_time allocates nothing" `Quick
+            test_stats_add_time_words;
         ] );
       ( "table",
         [
