@@ -519,8 +519,8 @@ let run_chaos nodes seed fault_plan requests replica_cache coalesce ckpt_delta
       coalesce = cluster_coalesce coalesce;
       ckpt_async;
       (* A frozen, replicated object gives speculation something to
-         fan out on. *)
-      frozen_reads = clone || hedge;
+         fan out on, and the replica cache something to cache. *)
+      frozen_reads = clone || hedge || replica_cache;
     }
   in
   let b =

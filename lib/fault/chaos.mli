@@ -6,7 +6,7 @@
     links and reconfigures membership.  With [frozen_reads] a frozen
     counter on the last member, replicated on nodes 1 and 2 (given at
     least 4 members), is read every other iteration — the shape
-    cloning and hedging act on.
+    cloning, hedging and the replica cache act on.
     After the stream every counter is probed once more: the plan heals
     before its horizon, so every mirrored counter must answer.
 

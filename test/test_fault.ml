@@ -755,7 +755,8 @@ let wire_plan =
   | Error e -> failwith e
 
 (* [edenctl run --nodes 5 --seed 11] plus each row's flags; like the
-   CLI, speculation brings the frozen reads it acts on. *)
+   CLI, speculation and the replica cache bring the frozen reads they
+   act on. *)
 let gate ?(spares = 0) ?plan ?(replica_cache = false) ?(coalesce = false)
     ?(clone = false) ?(hedge = false) ?(directory = false) () =
   {
@@ -774,7 +775,7 @@ let gate ?(spares = 0) ?plan ?(replica_cache = false) ?(coalesce = false)
       };
     coalesce =
       (if coalesce then Some Eden_net.Internet.default_coalesce else None);
-    frozen_reads = clone || hedge;
+    frozen_reads = clone || hedge || replica_cache;
   }
 
 let gate_rows =
@@ -869,34 +870,34 @@ let pinned_digests =
       ] );
     ( "--replica-cache --coalesce",
       [
-        ("summary.txt", "8220e5756669aca7abff2cc59c06babf");
+        ("summary.txt", "9372f47acf26f440792b32dded1db4ea");
         ("plan.txt", "7244cb69408f5a11a029d32fe2c538fd");
-        ("metrics.json", "85a50bd1172898a65102c29b5dead4b0");
-        ("timeline.json", "bded6bfd04b60fd8ab0b2a03e5d8d294");
-        ("timeline.txt", "1aa37c05e188d001289419f30ed6b6a5");
-        ("profile.txt", "b4769d1876bd89db51616cda9930d93d");
-        ("profile.json", "9a6501770b852dbf9ce9de458dce8dbc");
-        ("profile.folded", "1386de4121a457f9757863c6e6c2cc54");
-        ("profile-chrome.json", "9d1064dec5d3ef49522eb01fec06c7dc");
-        ("health.txt", "fe268b5fab49ac5615c56faca881159a");
-        ("health.json", "0d5abca7ceb47d4696fd8049b417b4be");
-        ("top.txt", "810561348cf7a338a99ee089f0bdef3b");
+        ("metrics.json", "f78dadbd0aee85e2244f4322cb9b1692");
+        ("timeline.json", "e46ad062c5e2d4403c7f1cf356de4c57");
+        ("timeline.txt", "0acbed12a982fed27e89cbd6189c8f84");
+        ("profile.txt", "6450e03866644a92239d402609a73dbc");
+        ("profile.json", "142246f7f8d5a2a91e57f6386a0de738");
+        ("profile.folded", "b35809e4bfb993b81d99d9f72f03ad52");
+        ("profile-chrome.json", "b5a259ca55d4adcda6310e2357351f47");
+        ("health.txt", "245f421ff6e991b1459bd60e757a5fbe");
+        ("health.json", "3ba413a2aedc332b262f049a43b3511e");
+        ("top.txt", "25a5f01f34505ee2d8ac4cb204aba184");
         ("check.json", "d751713988987e9331980363e24189ce");
       ] );
     ( "--replica-cache --coalesce, wire-fault plan",
       [
-        ("summary.txt", "b132045899bef1e7585a91f934968b00");
+        ("summary.txt", "20fb11a3c96f500b3368a0962b5e5332");
         ("plan.txt", "702b81ca517d1c6448f01078f4a1830a");
-        ("metrics.json", "9cbc760c5d471d4b0f367290d9552edd");
-        ("timeline.json", "5b7927c4fc299d1d71d625f438a28c20");
-        ("timeline.txt", "37ec2857b21d93946cf87fa5e635bf74");
-        ("profile.txt", "bb6971ca197b195f79eb90d2dc937e17");
-        ("profile.json", "bb16f36e1324f89ca6a81af209a4744a");
-        ("profile.folded", "8c0b6c7392de65313856f91d60e7c879");
-        ("profile-chrome.json", "02edcf208787ce2bfcf06c4d7894633c");
-        ("health.txt", "c8497916d0f00baa53e33e39c8f571da");
-        ("health.json", "2c3dc88df4811615d65d4791c1e9565a");
-        ("top.txt", "c87428d686391e1d23daf4cd84a0fdf3");
+        ("metrics.json", "3d78662ef1b49c1e384c27df07ad7bef");
+        ("timeline.json", "be384177c10646a535f3bc9fb2ca361e");
+        ("timeline.txt", "904e5f82250af4d07c9c91468775c22a");
+        ("profile.txt", "7c552727c75a35901044f99aebbd0cd7");
+        ("profile.json", "a414349e2d9c3360264276be3f25c899");
+        ("profile.folded", "f69ec0aa204935d6e086fef9ed3d8bd6");
+        ("profile-chrome.json", "c86306bd9d84a4505e2208c5263b3997");
+        ("health.txt", "b492b4d4166462d06be6ae7f93a92845");
+        ("health.json", "d915403237962dcf16ce48b976c6a626");
+        ("top.txt", "7730077c222689733b705bac1c28a09c");
         ("check.json", "d751713988987e9331980363e24189ce");
       ] );
   ]
@@ -938,6 +939,19 @@ let test_wire_events () =
   List.iter
     (fun kind -> check_bool (kind ^ " journalled") true (count kind > 0))
     [ "delay"; "net_hold"; "coalesce"; "net_flush" ]
+
+(* The --replica-cache rows bring frozen reads, so the cache has
+   something to serve: a row whose cache never hits would gate nothing
+   of it. *)
+let test_replica_cache_hits () =
+  List.iter
+    (fun row ->
+      let b = Chaos.run (List.assoc row gate_rows) in
+      check_bool (row ^ ": cache hits") true
+        (sum_counter (Cluster.metrics_snapshot b.cluster)
+           "eden.replica_cache.hits"
+        > 0))
+    [ "--replica-cache --coalesce"; "--replica-cache --coalesce, wire-fault plan" ]
 
 let () =
   Alcotest.run "eden_fault"
@@ -1007,5 +1021,7 @@ let () =
         @ [
             Alcotest.test_case "wire-fault row journals every wire event"
               `Quick test_wire_events;
+            Alcotest.test_case "replica-cache rows hit the cache" `Quick
+              test_replica_cache_hits;
           ] );
     ]
