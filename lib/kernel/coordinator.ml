@@ -253,7 +253,9 @@ let resume obj =
 let outstanding_works obj =
   let inflight = Hashtbl.fold (fun _ w acc -> w :: acc) obj.ob_inflight [] in
   let queued =
-    Hashtbl.fold (fun _ cs acc -> Fifo.to_list cs.cs_queue @ acc) obj.ob_classes []
+    Hashtbl.fold
+      (fun _ cs acc -> Fifo.to_list cs.cs_queue @ acc)
+      obj.ob_classes []
   in
   let stashed = Fifo.to_list obj.ob_stash in
   let buffered =

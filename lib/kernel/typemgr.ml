@@ -73,7 +73,8 @@ let behaviours t = t.behs
 
 let rec lookup op = function
   | [] -> None
-  | (name, found) :: rest -> if String.equal name op then found else lookup op rest
+  | (name, found) :: rest ->
+    if String.equal name op then found else lookup op rest
 
 let find_operation t op = lookup op t.found
 

@@ -2,7 +2,9 @@
 
     {!await} blocks the calling process until {!signal} or {!broadcast};
     there is no associated mutex because simulation processes never run
-    concurrently — a process keeps control until it blocks. *)
+    concurrently — a process keeps control until it blocks.  The
+    closure {!await} registers is made once, by {!create}, and neither
+    {!signal} nor {!broadcast} allocates. *)
 
 type t
 

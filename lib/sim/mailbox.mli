@@ -5,8 +5,8 @@
     instant, and a receiver killed after the hand-off but before it ran
     passes the message on to the next receiver (or back to the head of
     the buffer), so no message is lost with it.  A blocking {!recv}
-    allocates nothing in the mailbox.  A mailbox may be bounded, in which case {!send} blocks
-    while the buffer is full. *)
+    allocates nothing in the mailbox.  A mailbox may be bounded, in
+    which case {!send} blocks while the buffer is full. *)
 
 type 'a t
 

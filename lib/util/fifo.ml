@@ -36,7 +36,8 @@ let capacity q = q.capacity
 let grow q =
   let cap = Array.length q.data in
   if q.size = cap then begin
-    let ndata = Array.make (if cap = 0 then initial_size else cap * 2) (filler ()) in
+    let size = if cap = 0 then initial_size else cap * 2 in
+    let ndata = Array.make size (filler ()) in
     for i = 0 to q.size - 1 do
       ndata.(i) <- q.data.((q.head + i) mod cap)
     done;
@@ -90,12 +91,6 @@ let iter f q =
   for i = 0 to q.size - 1 do
     f q.data.((q.head + i) mod Array.length q.data)
   done
-
-let exists f q =
-  let rec from i =
-    i < q.size && (f q.data.((q.head + i) mod Array.length q.data) || from (i + 1))
-  in
-  from 0
 
 let to_list q =
   let acc = ref [] in

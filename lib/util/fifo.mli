@@ -49,9 +49,5 @@ val peek_exn : 'a t -> 'a
 val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 
-val exists : ('a -> bool) -> 'a t -> bool
-(** Whether some queued element satisfies the predicate, front to
-    back. *)
-
 val to_list : 'a t -> 'a list
 (** Front-to-back snapshot. *)

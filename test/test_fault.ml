@@ -951,7 +951,10 @@ let test_replica_cache_hits () =
         (sum_counter (Cluster.metrics_snapshot b.cluster)
            "eden.replica_cache.hits"
         > 0))
-    [ "--replica-cache --coalesce"; "--replica-cache --coalesce, wire-fault plan" ]
+    [
+      "--replica-cache --coalesce";
+      "--replica-cache --coalesce, wire-fault plan";
+    ]
 
 let () =
   Alcotest.run "eden_fault"

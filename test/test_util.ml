@@ -288,7 +288,8 @@ let test_fifo_round_trip_words () =
         ignore (Fifo.pop_exn q : int))
   in
   Printf.printf "minor words per fifo push/pop: %.2f\n" words;
-  if words > 0.0 then Alcotest.failf "%.2f minor words per push/pop, want 0" words
+  if words > 0.0 then
+    Alcotest.failf "%.2f minor words per push/pop, want 0" words
 
 (* Floats are boxed values like any other: the ring must hold them in
    an ordinary array (its filler is not a float), across growth and
@@ -318,8 +319,6 @@ let test_fifo_front () =
   Fifo.push_front q 1;
   check_int "peek" 1 (Fifo.peek_exn q);
   check_int "length" 9 (Fifo.length q);
-  check_bool "exists" true (Fifo.exists (fun x -> x = 9) q);
-  check_bool "not exists" false (Fifo.exists (fun x -> x = 10) q);
   Alcotest.(check (list int)) "order" (List.init 9 succ) (Fifo.to_list q);
   let bounded = Fifo.create ~capacity:1 () in
   Fifo.push_front bounded 1;
@@ -474,7 +473,8 @@ let test_stats_add_time_words () =
   done;
   let words = words_per ~n:20_000 (fun i -> Stats.add_time s (Time.ns i)) in
   Printf.printf "minor words per Stats.add_time: %.2f\n" words;
-  if words > 0.0 then Alcotest.failf "%.2f minor words per add_time, want 0" words
+  if words > 0.0 then
+    Alcotest.failf "%.2f minor words per add_time, want 0" words
 
 let test_stats_add_after_sort () =
   let s = Stats.create () in
@@ -610,7 +610,7 @@ let () =
           Alcotest.test_case "round trip allocates nothing" `Quick
             test_fifo_round_trip_words;
           Alcotest.test_case "float elements" `Quick test_fifo_floats;
-          Alcotest.test_case "push_front, peek_exn, exists" `Quick
+          Alcotest.test_case "push_front, peek_exn" `Quick
             test_fifo_front;
         ] );
       ( "stats",
